@@ -11,6 +11,8 @@ second basis so the replicate cross-spectrum matches the observed one.
     python demos/bootstrap_ablation.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import ppdecomp as ppd
@@ -31,13 +33,13 @@ for seed in range(runs):
     sigmas = [ppd.estimate_noise_sigma(np.linalg.svd(v, compute_uv=False), *v.shape)
               for v in views]
     xs = [np.hstack([truth.joint, truth.individuals[k]]) for k in range(2)]
-    oracle, _ = ppd.true_epsilons(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
+    oracle, _ = ppd.epsilon_pair(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
 
     boot = ppd.BootstrapConfig(replicates=60, seed=seed + 1000)
     rot = ppd.estimate_epsilon1(views[0], views[1], truncs[0], truncs[1],
                                 sigmas[0], sigmas[1], boot)
-    naive = ppd.estimate_epsilon1_naive(views[0], views[1], truncs[0], truncs[1],
-                                        sigmas[0], sigmas[1], boot)
+    naive = ppd.estimate_epsilon1(views[0], views[1], truncs[0], truncs[1],
+                                  sigmas[0], sigmas[1], replace(boot, variant="naive"))
     wins += rot.epsilon1_hat >= naive.epsilon1_hat
     print(f"{seed:<5} {oracle:<12.3f} {rot.epsilon1_hat:<11.3f} "
           f"{naive.epsilon1_hat:.3f}")

@@ -11,23 +11,22 @@ subspaces, with diagnostics and a simulation benchmark harness.
 """
 
 from .bootstrap import (BootstrapConfig, EpsilonEstimate, estimate_epsilon1,
-                        estimate_epsilon1_naive, haar_pair, noise_replicate,
                         rotate_align)
-from .decomposition import (DecompositionResult, ProductSpectrum,
-                            Theorem2Report, TruthOracle, decompose,
+from .decomposition import (DecompositionResult, ProductSpectrum, decompose,
                             decompose_multiview, individual_basis, joint_basis,
-                            joint_rank, product_spectrum, theorem1_intervals,
-                            theorem2_bounds, true_epsilons, truth_oracle)
+                            joint_rank, product_spectrum)
 from .diagnostics import (DiagnosticReport, build_report, export_json,
                           render_svg, report_from_json, report_from_parts)
 from .exceptions import (BootstrapInfeasible, DimensionMismatch, InvalidInput,
                          ParseError)
-from .linalg import (CompactSvd, compact_svd, haar_basis, orthonormalize,
-                     principal_spectrum, spectral_norm, subspace_distance)
+from .linalg import (haar_basis, orthonormalize, principal_spectrum,
+                     spectral_norm, subspace_distance)
 from .matrixio import read_matrix_csv, write_matrix_csv
 from .noise import (NoiseSpectrumLaw, continuous_mass, density_sv_scale,
                     noise_cdf, noise_density, noise_law, sample_noise_spectrum,
                     singular_value_threshold)
+from .oracle import (Theorem2Report, TruthOracle, epsilon_pair,
+                     theorem2_bounds, truth_oracle)
 from .ranksel import (RankSelection, Truncation, estimate_noise_sigma,
                       gd_coefficient, marchenko_pastur_median, mp_median_sv,
                       select_rank, truncate)
@@ -38,22 +37,21 @@ from .simulate import (BenchmarkRow, ScoreTriple, SimConfig, SimTruth,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkRow", "BootstrapConfig", "BootstrapInfeasible", "CompactSvd",
+    "BenchmarkRow", "BootstrapConfig", "BootstrapInfeasible",
     "DecompositionResult", "DiagnosticReport", "DimensionMismatch",
     "EpsilonEstimate", "InvalidInput", "NoiseSpectrumLaw", "ParseError",
     "ProductSpectrum", "RankSelection", "ScoreTriple", "SimConfig", "SimTruth",
     "Theorem2Report", "Truncation", "TruthOracle", "build_report",
-    "compact_svd", "continuous_mass", "decompose", "decompose_multiview",
-    "decomposition_f_score", "density_sv_scale", "estimate_epsilon1",
-    "estimate_epsilon1_naive", "estimate_noise_sigma", "export_json",
-    "gd_coefficient", "generate", "haar_basis", "haar_pair",
-    "individual_basis", "joint_basis", "joint_rank",
-    "marchenko_pastur_median", "misspecify_ranks", "mp_median_sv",
-    "noise_cdf", "noise_density", "noise_law", "noise_replicate",
-    "orthonormalize", "principal_spectrum", "product_spectrum",
+    "continuous_mass", "decompose", "decompose_multiview",
+    "decomposition_f_score", "density_sv_scale", "epsilon_pair",
+    "estimate_epsilon1", "estimate_noise_sigma", "export_json",
+    "gd_coefficient", "generate", "haar_basis", "individual_basis",
+    "joint_basis", "joint_rank", "marchenko_pastur_median",
+    "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",
+    "noise_law", "orthonormalize", "principal_spectrum", "product_spectrum",
     "read_matrix_csv", "render_svg", "report_from_json", "report_from_parts",
     "rotate_align", "run_benchmark", "sample_noise_spectrum", "score",
     "select_rank", "singular_value_threshold", "spectral_norm",
-    "subspace_distance", "theorem1_intervals", "theorem2_bounds",
-    "true_epsilons", "truncate", "truth_oracle", "write_matrix_csv",
+    "subspace_distance", "theorem2_bounds", "truncate", "truth_oracle",
+    "write_matrix_csv",
 ]

@@ -29,14 +29,14 @@ underestimates the perturbation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._perturb import epsilon_pair
 from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
 from .linalg import haar_basis, orthonormalize, principal_spectrum
+from .oracle import epsilon_pair
 from .ranksel import Truncation, truncate
 
 VARIANTS = ("rotational", "naive")
@@ -59,32 +59,22 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class EpsilonEstimate:
-    """Bootstrap estimate of epsilon_1 (and optionally epsilon_2)."""
+    """Bootstrap estimate of epsilon_1 with its replicate values."""
 
     epsilon1_hat: float
     per_replicate: np.ndarray
     variant: str
-    epsilon2_hat: float | None = None
-    per_replicate_epsilon2: np.ndarray | None = None
 
 
 def _haar_pair_rng(n, r1, r2, rng):
+    """Mutually orthogonal Haar frames of ranks r1 and r2 in R^n, with r1 + r2 <= n.
+
+    Taken as consecutive blocks of the left singular basis of one Gaussian
+    n x n matrix drawn from ``rng``, so the two frames are orthogonal by
+    construction.
+    """
     u = np.linalg.svd(rng.standard_normal((n, n)))[0]
     return u[:, :r1], u[:, r1:r1 + r2]
-
-
-def haar_pair(n: int, r1: int, r2: int, seed: int):
-    """Mutually orthogonal Haar frames of ranks r1 and r2 in R^n.
-
-    Taken as consecutive blocks of the left singular basis of one seeded
-    Gaussian n x n matrix, so the two frames are orthogonal by construction.
-    """
-    if r1 + r2 > n:
-        raise BootstrapInfeasible(
-            f"cannot embed ranks {r1} + {r2} orthogonally in dimension {n}; "
-            "lower the marginal ranks"
-        )
-    return _haar_pair_rng(n, r1, r2, derive_rng(seed))
 
 
 def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
@@ -110,6 +100,13 @@ def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
 
 
 def _noise_replicate_rng(y, x_hat, sigma_hat, rng):
+    """Adjusted noise estimate: the truncation residual plus imputed noise.
+
+    The residual ``y - x_hat`` carries no energy along the estimated left
+    signal directions; an independent Gaussian draw from ``rng`` at level
+    ``sigma_hat``, projected onto those directions, puts it back. The
+    residual's orthogonal complement is untouched.
+    """
     e = y - x_hat
     if sigma_hat < 0:
         raise InvalidInput("sigma_hat must be >= 0")
@@ -124,18 +121,6 @@ def _noise_replicate_rng(y, x_hat, sigma_hat, rng):
     return e + basis @ g
 
 
-def noise_replicate(y, x_hat, sigma_hat: float, seed: int) -> np.ndarray:
-    """Adjusted noise estimate: the truncation residual plus imputed noise.
-
-    The residual ``y - x_hat`` carries no energy along the estimated left
-    signal directions; an independent Gaussian draw at level ``sigma_hat``,
-    projected onto those directions, puts it back. The residual's orthogonal
-    complement is untouched.
-    """
-    return _noise_replicate_rng(np.asarray(y, float), np.asarray(x_hat, float),
-                                sigma_hat, derive_rng(seed))
-
-
 def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np.ndarray:
     """Debiased spike strengths of the retained singular values, 0 at or below the edge.
 
@@ -148,10 +133,17 @@ def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np
     y = trunc.values
     edge = sigma_hat * (np.sqrt(n) + np.sqrt(p))
     signal = y > max(edge, 1e-12 * y[0])
-    a = y[signal] ** 2 - (n + p) * sigma_hat**2
-    disc = np.maximum(a**2 - 4.0 * n * p * sigma_hat**4, 0.0)
     out = np.zeros_like(y)
-    out[signal] = np.sqrt(0.5 * (a + np.sqrt(disc)))
+    if not signal[0]:
+        return out
+    # In units of the leading value, so that no power of sigma_hat can
+    # overflow or underflow however the view is scaled.
+    u2 = (y[signal] / y[0]) ** 2
+    v2 = (sigma_hat / y[0]) ** 2
+    a = u2 - (n + p) * v2
+    disc = np.maximum((u2 - (np.sqrt(n) + np.sqrt(p)) ** 2 * v2)
+                      * (u2 - (np.sqrt(n) - np.sqrt(p)) ** 2 * v2), 0.0)
+    out[signal] = y[0] * np.sqrt(0.5 * (a + np.sqrt(disc)))
     return out
 
 
@@ -165,8 +157,7 @@ def _canonical_order(y1, trunc1, sigma1, y2, trunc2, sigma2):
 
 
 def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
-                      sigma1: float, sigma2: float, cfg: BootstrapConfig,
-                      with_epsilon2: bool = False) -> EpsilonEstimate:
+                      sigma1: float, sigma2: float, cfg: BootstrapConfig) -> EpsilonEstimate:
     """Bootstrap estimate of epsilon_1 for two views and their truncations.
 
     ``trunc1``/``trunc2`` are the outputs of :func:`ppdecomp.ranksel.truncate`
@@ -174,10 +165,6 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     noise-level estimates. Deterministic given ``cfg.seed``; the naive and
     rotational variants consume identical random streams, so paired A/B runs
     are reproducible. The result does not depend on the order of the views.
-
-    ``with_epsilon2=True`` additionally records the replicate values of the
-    epsilon_2 analogue (experimental; the decomposition itself bounds
-    epsilon_2 analytically instead).
     """
     y1 = np.asarray(y1, float)
     y2 = np.asarray(y2, float)
@@ -190,10 +177,7 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
         raise InvalidInput("views must share the row dimension")
     b_reps = cfg.replicates
     if min(r1, r2) == 0:
-        zeros = np.zeros(b_reps)
-        return EpsilonEstimate(0.0, zeros, cfg.variant,
-                               0.0 if with_epsilon2 else None,
-                               zeros.copy() if with_epsilon2 else None)
+        return EpsilonEstimate(0.0, np.zeros(b_reps), cfg.variant)
     if r1 + r2 > n:
         raise BootstrapInfeasible(
             f"cannot embed ranks {r1} + {r2} orthogonally in dimension {n}; "
@@ -208,8 +192,7 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     e1 = _noise_replicate_rng(y1, trunc1.x_hat, sigma1, derive_rng(cfg.seed, STREAM_NOISE, 0))
     e2 = _noise_replicate_rng(y2, trunc2.x_hat, sigma2, derive_rng(cfg.seed, STREAM_NOISE, 1))
 
-    vals1 = np.zeros(b_reps)
-    vals2 = np.zeros(b_reps)
+    vals = np.zeros(b_reps)
     for b in range(b_reps):
         rng = derive_rng(cfg.seed, STREAM_REPLICATE, b)
         u1b, u2b = _haar_pair_rng(n, r1, r2, rng)
@@ -221,22 +204,7 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
         y2b = (u2b * s2) @ v2b.T + e2
         u1b_hat = truncate(y1b, r1).basis
         u2b_hat = truncate(y2b, r2).basis
-        eb1, eb2 = epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)
-        vals1[b] = min(eb1, 1.0)
-        vals2[b] = min(eb2, 1.0)
+        vals[b] = min(epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)[0], 1.0)
 
-    return EpsilonEstimate(
-        epsilon1_hat=float(vals1.mean()),
-        per_replicate=vals1,
-        variant=cfg.variant,
-        epsilon2_hat=float(vals2.mean()) if with_epsilon2 else None,
-        per_replicate_epsilon2=vals2 if with_epsilon2 else None,
-    )
-
-
-def estimate_epsilon1_naive(y1, y2, trunc1: Truncation, trunc2: Truncation,
-                            sigma1: float, sigma2: float, cfg: BootstrapConfig,
-                            with_epsilon2: bool = False) -> EpsilonEstimate:
-    """Ablation variant of :func:`estimate_epsilon1` without the alignment step."""
-    return estimate_epsilon1(y1, y2, trunc1, trunc2, sigma1, sigma2,
-                             replace(cfg, variant="naive"), with_epsilon2)
+    return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,
+                           variant=cfg.variant)

@@ -5,7 +5,8 @@ out), ``simulate`` (benchmark grid to a CSV table), ``diagnose`` (diagnostic
 SVG/JSON from a stored result), and ``noise-spectrum`` (analytical law and
 optional empirical sample). Exit codes: 0 success, 2 usage or input error,
 3 numerical infeasibility. Every run is deterministic given its flags and
-seed, and file writes are atomic.
+seed on one numpy/BLAS build and BLAS thread count (the last digits of
+epsilon1_hat can differ between thread counts), and file writes are atomic.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig
 from .decomposition import DecompositionResult, ProductSpectrum, decompose_multiview
-from .diagnostics import build_report, export_json, render_svg, report_from_parts
+from .diagnostics import build_report, export_json, render_svg
 from .exceptions import (BootstrapInfeasible, DimensionMismatch, InvalidInput,
                          ParseError)
 from .matrixio import atomic_write_text, read_matrix_csv
@@ -250,22 +252,15 @@ def _cmd_diagnose(args) -> int:
             bootstrap=BootstrapConfig(replicates=args.bootstrap_reps, seed=args.seed))
     else:
         raise InvalidInput("pass --result or at least two --view files")
-    truth_lines = None
-    intervals = None
+    report = build_report(result)
     if args.truth:
         with open(args.truth) as fh:
             sidecar = json.load(fh)
         if "truth_lines" in sidecar:
-            truth_lines = np.asarray(sidecar["truth_lines"], dtype=float)
+            report = replace(report, truth_lines=np.asarray(sidecar["truth_lines"], dtype=float))
         if "theorem1_intervals" in sidecar:
-            intervals = tuple((float(lo), float(hi))
-                              for lo, hi in sidecar["theorem1_intervals"])
-    n = result.joint.shape[0]
-    i, j = result.binding_pair
-    report = report_from_parts(result.spectrum,
-                               result.marginal_ranks[i] / n,
-                               result.marginal_ranks[j] / n,
-                               truth_lines=truth_lines, theorem1=intervals)
+            report = replace(report, theorem1=tuple(
+                (float(lo), float(hi)) for lo, hi in sidecar["theorem1_intervals"]))
     if args.svg:
         atomic_write_text(args.svg, render_svg(report))
     if args.json_out:

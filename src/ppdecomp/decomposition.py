@@ -16,9 +16,8 @@ Pipeline for two views Y1, Y2 sharing their n rows:
 More than two views are handled by taking the minimum pairwise joint rank and
 the leading eigenvectors of the permutation-averaged projection product.
 
-The module also provides the oracle quantities (epsilon_1, epsilon_2, cluster
-intervals, estimation-error bounds) used to check the spectrum-perturbation
-guarantees on simulated data.
+The oracle quantities used to check the estimator on simulated data live in
+:mod:`ppdecomp.oracle`.
 """
 
 from __future__ import annotations
@@ -29,23 +28,18 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ._perturb import epsilon_pair
 from ._rng import STREAM_PAIR, derive_seed
 from .bootstrap import BootstrapConfig, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
-from .linalg import (as_matrix, principal_spectrum, reduced_coords,
-                     spectral_norm, subspace_distance)
+from .linalg import as_matrix, principal_spectrum, reduced_coords
 from .noise import noise_law
-from .ranksel import (_selection_from_spectrum, _truncation_from_svd,
-                      estimate_noise_sigma)
+from .ranksel import _selection_from_spectrum, _truncation_from_svd
 
 # Upper cap on the bootstrap threshold 1 - epsilon1_hat. In exactly noiseless
 # data epsilon1_hat underflows to ~1e-16 and the joint singular values equal 1
 # only up to round-off; without the cap the strict ">" comparison would be a
 # coin flip at machine precision.
 BOOTSTRAP_THRESHOLD_CAP = 1.0 - 1e-9
-
-ANGLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,34 +90,27 @@ def joint_rank(spectrum: ProductSpectrum) -> int:
     return int(np.count_nonzero(spectrum.values > cut))
 
 
-def _symmetrized_product(coords, method: str) -> np.ndarray:
+def _symmetrized_product(coords) -> np.ndarray:
+    """Average of the projection product over all orderings of the views."""
     projs = [c @ c.T for c in coords]
     m = projs[0].shape[0]
     k = len(projs)
     t = np.zeros((m, m))
-    if method == "permutation":
-        for perm in permutations(range(k)):
-            prod = projs[perm[0]]
-            for idx in perm[1:]:
-                prod = prod @ projs[idx]
-            t += prod
-        t /= math.factorial(k)
-    elif method == "pairwise":
-        pairs = list(combinations(range(k), 2))
-        for i, j in pairs:
-            t += 0.5 * (projs[i] @ projs[j] + projs[j] @ projs[i])
-        t /= len(pairs)
-    else:
-        raise InvalidInput(f"unknown joint_product method {method!r}")
+    for perm in permutations(range(k)):
+        prod = projs[perm[0]]
+        for idx in perm[1:]:
+            prod = prod @ projs[idx]
+        t += prod
+    t /= math.factorial(k)
     return 0.5 * (t + t.T)
 
 
-def _joint_from_bases(bases, r_joint: int, method: str) -> np.ndarray:
+def _joint_from_bases(bases, r_joint: int) -> np.ndarray:
     n = bases[0].shape[0]
     if r_joint == 0:
         return np.zeros((n, 0))
     w, coords = reduced_coords(*bases)
-    t = _symmetrized_product(coords, method)
+    t = _symmetrized_product(coords)
     evals, evecs = np.linalg.eigh(t)
     top = evecs[:, np.argsort(evals)[::-1][:r_joint]]
     return w @ top
@@ -139,7 +126,7 @@ def joint_basis(u1_hat, u2_hat, r_joint: int) -> np.ndarray:
         raise InvalidInput("r_joint exceeds a marginal rank")
     if r_joint < 0:
         raise InvalidInput("r_joint must be >= 0")
-    return _joint_from_bases([u1_hat, u2_hat], r_joint, "permutation")
+    return _joint_from_bases([u1_hat, u2_hat], r_joint)
 
 
 def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
@@ -164,13 +151,9 @@ def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
     return w @ u_red[:, :r_ind]
 
 
-def _resolve_ranks(svds, views, ranks):
-    n = views[0].shape[0]
+def _resolve_ranks(selections, views, ranks):
     if ranks is None or ranks == "auto":
-        return tuple(
-            _selection_from_spectrum(s, n, y.shape[1]).rank
-            for (_, s, _), y in zip(svds, views)
-        )
+        return tuple(sel.rank for sel in selections)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != len(views):
         raise InvalidInput(f"expected {len(views)} ranks, got {len(ranks)}")
@@ -180,20 +163,15 @@ def _resolve_ranks(svds, views, ranks):
     return ranks
 
 
-def decompose_multiview(views, ranks=None, bootstrap: BootstrapConfig | None = None,
-                        joint_product: str = "permutation") -> DecompositionResult:
+def decompose_multiview(views, ranks=None,
+                        bootstrap: BootstrapConfig | None = None) -> DecompositionResult:
     """Decomposition of K >= 2 views sharing their rows.
 
     The joint rank is the minimum over all view pairs of the two-view joint
     rank; the reported spectrum, thresholds, and epsilon1_hat belong to the
     first pair attaining that minimum. With K = 2 this coincides with
-    :func:`decompose`.
-
-    ``joint_product`` selects how the joint basis is extracted: the average of
-    the projection product over all K! orderings (exact symmetrization, the
-    default) or the cheaper average over the K(K-1)/2 symmetrized pairs. The
-    permutation average is refused for K >= 6; pass ``joint_product="pairwise"``
-    there.
+    :func:`decompose`. The joint basis comes from the average of the
+    projection product over all K! orderings, so K >= 6 views are refused.
     """
     views = [as_matrix(y, f"view {k + 1}") for k, y in enumerate(views)]
     k_views = len(views)
@@ -204,20 +182,18 @@ def decompose_multiview(views, ranks=None, bootstrap: BootstrapConfig | None = N
         if y.shape[0] != n:
             raise DimensionMismatch(
                 f"view {idx + 1} has {y.shape[0]} rows, expected {n}")
-    if joint_product == "permutation" and k_views >= 6:
+    if k_views >= 6:
         raise InvalidInput(
-            "permutation averaging over K! orderings is refused for K >= 6; "
-            "pass joint_product='pairwise'")
+            "permutation averaging over K! orderings is refused for K >= 6")
     bootstrap = bootstrap or BootstrapConfig()
 
     svds = [np.linalg.svd(y, full_matrices=False) for y in views]
-    marginal_ranks = _resolve_ranks(svds, views, ranks)
+    selections = [_selection_from_spectrum(s, n, y.shape[1])
+                  for (_, s, _), y in zip(svds, views)]
+    marginal_ranks = _resolve_ranks(selections, views, ranks)
+    sigma_hats = tuple(sel.sigma_hat for sel in selections)
     truncs = [_truncation_from_svd(u, s, vt, r)
               for (u, s, vt), r in zip(svds, marginal_ranks)]
-    sigma_hats = tuple(
-        estimate_noise_sigma(s, n, y.shape[1])
-        for (_, s, _), y in zip(svds, views)
-    )
 
     best = None  # (joint rank, pair index, spectrum, epsilon estimate)
     for i, j in combinations(range(k_views), 2):
@@ -232,7 +208,7 @@ def decompose_multiview(views, ranks=None, bootstrap: BootstrapConfig | None = N
             best = (r_pair, (i, j), spec, est)
     r_joint, binding_pair, spectrum, eps_est = best
 
-    joint = _joint_from_bases([t.basis for t in truncs], r_joint, joint_product)
+    joint = _joint_from_bases([t.basis for t in truncs], r_joint)
     individuals = [individual_basis(t.basis, joint, r, r_joint)
                    for t, r in zip(truncs, marginal_ranks)]
     return DecompositionResult(
@@ -255,122 +231,3 @@ def decompose(y1, y2, ranks=None, bootstrap: BootstrapConfig | None = None) -> D
     to swapping the two views.
     """
     return decompose_multiview([y1, y2], ranks=ranks, bootstrap=bootstrap)
-
-
-def true_epsilons(u1, u2, u1_hat, u2_hat) -> tuple[float, float]:
-    """Oracle perturbation magnitudes for known true bases and their estimates.
-
-    epsilon_1 bounds how far the joint singular values of the estimated
-    product can fall below 1; epsilon_2 bounds how far noise singular values
-    can rise above 0. Both are evaluated exactly through reduced Gram
-    computations (the operators live inside the span of the four bases).
-    """
-    return epsilon_pair(u1, u2, u1_hat, u2_hat)
-
-
-@dataclass(frozen=True)
-class TruthOracle:
-    """Cluster intervals of the product spectrum for a planted decomposition."""
-
-    epsilon1: float
-    epsilon2: float
-    cluster_intervals: tuple[tuple[float, float], ...]
-    joint_dim: int
-    nonorth_rank: int
-    tau_min: float
-    tau_max: float
-
-
-def truth_oracle(joint_true, individuals_true, eps1: float, eps2: float) -> TruthOracle:
-    """Build the three cluster intervals from planted subspaces and oracle epsilons.
-
-    The clusters of the estimated product spectrum are: dim(joint) values in
-    [max(1 - eps1, 0), 1]; the non-orthogonally aligned individual values in
-    [max(tau_min - eps1, 0), min(tau_max + eps2, 1)]; every remaining value in
-    [0, min(eps2, 1)]. tau_min/tau_max are the extreme non-zero cosines
-    between the two planted individual subspaces.
-    """
-    i1, i2 = individuals_true
-    cosines = principal_spectrum(i1, i2)
-    nonzero = cosines[cosines > ANGLE_TOL]
-    nonorth_rank = int(nonzero.size)
-    tau_max = float(nonzero[0]) if nonorth_rank else 0.0
-    tau_min = float(nonzero[-1]) if nonorth_rank else 0.0
-    intervals = (
-        (max(1.0 - eps1, 0.0), 1.0),
-        (max(tau_min - eps1, 0.0), min(tau_max + eps2, 1.0)),
-        (0.0, min(eps2, 1.0)),
-    )
-    return TruthOracle(epsilon1=eps1, epsilon2=eps2, cluster_intervals=intervals,
-                       joint_dim=joint_true.shape[1], nonorth_rank=nonorth_rank,
-                       tau_min=tau_min, tau_max=tau_max)
-
-
-def theorem1_intervals(joint_true, individuals_true, eps1: float, eps2: float):
-    """The three closed cluster intervals; see :func:`truth_oracle`."""
-    return truth_oracle(joint_true, individuals_true, eps1, eps2).cluster_intervals
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    """Estimation-error bounds versus realized subspace distances."""
-
-    joint_bound: float
-    individual_bounds: tuple[float, ...]
-    joint_distance: float
-    individual_distances: tuple[float, ...]
-    epsilon1: float
-    epsilon2: float
-    tau_max: float
-    hypothesis_ok: bool
-
-
-def theorem2_bounds(joint_true, individuals_true, view_estimates,
-                    joint_estimate, individual_estimates) -> Theorem2Report:
-    """Evaluate the subspace estimation-error bounds on a planted instance.
-
-    ``individuals_true[k]`` must be orthogonal to ``joint_true`` (as planted),
-    so that [joint_true, individuals_true[k]] is an orthonormal basis of the
-    k-th true signal column space. The joint bound divides the symmetrized
-    product perturbation by the gap 1 - tau_max; the individual bound is twice
-    the perturbation of the joint-complement view projection, valid when the
-    marginal ranks are correctly specified. ``hypothesis_ok`` reports whether
-    eps1 < 1 - tau_max - eps2, the condition under which the bounds are
-    guaranteed to dominate.
-    """
-    x_bases = [np.hstack([joint_true, ind]) for ind in individuals_true]
-    u1, u2 = x_bases
-    v1_hat, v2_hat = view_estimates
-    eps1, eps2 = true_epsilons(u1, u2, v1_hat, v2_hat)
-
-    cosines = principal_spectrum(individuals_true[0], individuals_true[1])
-    nonzero = cosines[cosines > ANGLE_TOL]
-    tau_max = float(nonzero[0]) if nonzero.size else 0.0
-    hypothesis_ok = eps1 < 1.0 - tau_max - eps2
-
-    _, (c1, c2, d1, d2) = reduced_coords(u1, u2, v1_hat, v2_hat)
-    r_joint_op = (d1 @ d1.T) @ (d2 @ d2.T) - (c1 @ c1.T) @ (c2 @ c2.T)
-    sym_norm = spectral_norm(r_joint_op + r_joint_op.T)
-    joint_bound = sym_norm / (1.0 - tau_max) if tau_max < 1.0 else float("inf")
-
-    individual_bounds = []
-    for uk, vk_hat in zip(x_bases, view_estimates):
-        _, (ck, dk, gj, gj_hat) = reduced_coords(uk, vk_hat, joint_true, joint_estimate)
-        pk = ck @ ck.T
-        pk_hat = dk @ dk.T
-        r_ind = (pk_hat - pk) - ((gj_hat @ gj_hat.T) @ pk_hat - (gj @ gj.T) @ pk)
-        individual_bounds.append(2.0 * spectral_norm(r_ind))
-
-    return Theorem2Report(
-        joint_bound=joint_bound,
-        individual_bounds=tuple(individual_bounds),
-        joint_distance=subspace_distance(joint_true, joint_estimate),
-        individual_distances=tuple(
-            subspace_distance(ind, est)
-            for ind, est in zip(individuals_true, individual_estimates)
-        ),
-        epsilon1=eps1,
-        epsilon2=eps2,
-        tau_max=tau_max,
-        hypothesis_ok=hypothesis_ok,
-    )

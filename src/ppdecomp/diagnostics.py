@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (DecompositionResult, ProductSpectrum,
-                            theorem1_intervals, true_epsilons)
+from .decomposition import DecompositionResult, ProductSpectrum
 from .exceptions import InvalidInput
 from .linalg import principal_spectrum
 from .noise import NoiseSpectrumLaw, continuous_mass, density_sv_scale, noise_law
+from .oracle import epsilon_pair, truth_oracle
 
 HISTOGRAM_BINS = 40
+DENSITY_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class DiagnosticReport:
     theorem1: tuple[tuple[float, float], ...] | None = None
 
 
-def _scaled_density_curve(law: NoiseSpectrumLaw, counts, edges, blue_hi,
-                          values, points: int) -> np.ndarray:
+def _scaled_density_curve(law: NoiseSpectrumLaw, edges, blue_hi, values) -> np.ndarray:
     """Noise density on the singular-value axis, scaled to histogram counts.
 
     The curve area is matched to the count-area of the sub-threshold part of
@@ -49,7 +49,7 @@ def _scaled_density_curve(law: NoiseSpectrumLaw, counts, edges, blue_hi,
         return np.zeros((0, 2))
     s_lo = float(np.sqrt(law.lambda_minus))
     s_hi = float(np.sqrt(law.lambda_plus))
-    s = np.linspace(s_lo, s_hi, points)
+    s = np.linspace(s_lo, s_hi, DENSITY_POINTS)
     g = density_sv_scale(law, s)
     bin_width = edges[1] - edges[0]
     n_below = int(np.count_nonzero(np.asarray(values) <= blue_hi))
@@ -58,13 +58,11 @@ def _scaled_density_curve(law: NoiseSpectrumLaw, counts, edges, blue_hi,
 
 
 def report_from_parts(spectrum: ProductSpectrum, q1: float, q2: float,
-                      truth_lines=None, theorem1=None,
-                      bins: int = HISTOGRAM_BINS, points: int = 200) -> DiagnosticReport:
+                      truth_lines=None, theorem1=None) -> DiagnosticReport:
     """Assemble a report from a spectrum and the rank-to-dimension ratios."""
-    counts, edges = np.histogram(spectrum.values, bins=bins, range=(0.0, 1.0))
+    counts, edges = np.histogram(spectrum.values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     law = noise_law(q1, q2)
-    curve = _scaled_density_curve(law, counts, edges, spectrum.noise_threshold,
-                                  spectrum.values, points)
+    curve = _scaled_density_curve(law, edges, spectrum.noise_threshold, spectrum.values)
     return DiagnosticReport(
         spectrum=spectrum,
         green_band=(spectrum.bootstrap_threshold, 1.0),
@@ -77,8 +75,7 @@ def report_from_parts(spectrum: ProductSpectrum, q1: float, q2: float,
     )
 
 
-def build_report(result: DecompositionResult, truth=None,
-                 bins: int = HISTOGRAM_BINS, points: int = 200) -> DiagnosticReport:
+def build_report(result: DecompositionResult, truth=None) -> DiagnosticReport:
     """Report for a decomposition result; truth-dependent fields appear iff ``truth`` is given.
 
     ``truth`` is a :class:`ppdecomp.simulate.SimTruth` (or anything exposing
@@ -95,11 +92,11 @@ def build_report(result: DecompositionResult, truth=None,
         x_i = np.hstack([truth.joint, truth.individuals[i]])
         x_j = np.hstack([truth.joint, truth.individuals[j]])
         truth_lines = principal_spectrum(x_i, x_j)
-        eps1, eps2 = true_epsilons(x_i, x_j, result.view_bases[i], result.view_bases[j])
-        intervals = theorem1_intervals(
-            truth.joint, (truth.individuals[i], truth.individuals[j]), eps1, eps2)
+        eps1, eps2 = epsilon_pair(x_i, x_j, result.view_bases[i], result.view_bases[j])
+        intervals = truth_oracle(truth.joint, (truth.individuals[i], truth.individuals[j]),
+                                 eps1, eps2).cluster_intervals
     return report_from_parts(result.spectrum, q1, q2, truth_lines=truth_lines,
-                             theorem1=intervals, bins=bins, points=points)
+                             theorem1=intervals)
 
 
 def _fmt(x: float) -> str:

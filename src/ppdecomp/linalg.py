@@ -1,4 +1,4 @@
-"""Dense subspace primitives: compact SVD, orthonormal bases, principal angles.
+"""Dense subspace primitives: orthonormal bases, principal angles, Haar frames.
 
 Conventions used throughout the package:
 
@@ -11,22 +11,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidInput
 
-DEFAULT_DROP_TOL = 1e-12
-DEFAULT_RANK_TOL = 1e-10
-
-
-class CompactSvd(NamedTuple):
-    """Compact SVD ``A = left @ diag(values) @ right.T`` with zero values dropped."""
-
-    left: np.ndarray
-    values: np.ndarray
-    right: np.ndarray
+RANK_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -41,26 +30,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def compact_svd(a, drop_tol: float = DEFAULT_DROP_TOL) -> CompactSvd:
-    """Compact SVD of ``a``; singular values <= ``drop_tol * sigma_1`` are dropped."""
+def orthonormalize(a) -> np.ndarray:
+    """Orthonormal basis of col(a); numerical rank set by ``sigma_i > RANK_TOL * sigma_1``."""
     a = as_matrix(a)
-    if drop_tol < 0:
-        raise InvalidInput("drop_tol must be >= 0")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > drop_tol * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(keep))
-    return CompactSvd(u[:, :r], s[:r], vt[:r].T)
-
-
-def orthonormalize(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of col(a); numerical rank set by ``sigma_i > rank_tol * sigma_1``."""
-    a = as_matrix(a)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((a.shape[0], 0))
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return u[:, :r]
 
 

@@ -18,6 +18,7 @@ the singular-value scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ import numpy as np
 from .exceptions import InvalidInput
 from .linalg import haar_basis
 from ._rng import derive_rng
+
+NOISE_CDF_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,32 @@ def noise_law(q1: float, q2: float) -> NoiseSpectrumLaw:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(nodes: int):
+    """Gauss-Legendre nodes and weights, read-only because every caller shares them."""
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(nodes)
+    t_nodes.flags.writeable = t_weights.flags.writeable = False
+    return t_nodes, t_weights
+
+
+def _edge_quadrature(a: float, b: float, x: float, denom, nodes: int) -> float:
+    """Integral of sqrt((b - t)(t - a)) / denom(t) over t in [a, x], for a < x <= b.
+
+    The substitution t = a + (b - a)(1 - cos u) / 2 turns the square root into
+    half^2 sin(u)^2 with half = (b - a) / 2, which removes the endpoint
+    behaviour (and a 1/t pole at a = 0); the integral over u is then taken by
+    fixed ``nodes``-point Gauss-Legendre quadrature.
+    """
+    half = 0.5 * (b - a)
+    t_nodes, t_weights = _legendre(nodes)
+    t_up = np.arccos(np.clip(1.0 - (x - a) / half, -1.0, 1.0))
+    t = 0.5 * t_up * (t_nodes + 1.0)
+    w = 0.5 * t_up * t_weights
+    xt = a + half * (1.0 - np.cos(t))
+    integrand = half**2 * np.sin(t) ** 2 / denom(xt)
+    return float(np.sum(w * integrand))
+
+
 def continuous_mass(law: NoiseSpectrumLaw) -> float:
     """Total weight of the continuous part: 1 - A0 - A1."""
     return 1.0 - law.mass_at_zero - law.mass_at_one
@@ -72,14 +101,13 @@ def noise_density(law: NoiseSpectrumLaw, lam: float) -> float:
     return float(num / (2.0 * np.pi * lam * (1.0 - lam)))
 
 
-def noise_cdf(law: NoiseSpectrumLaw, lam: float, nodes: int = 200,
-              normalized: bool = True) -> float:
+def noise_cdf(law: NoiseSpectrumLaw, lam: float, normalized: bool = True) -> float:
     """Integral of the continuous density from the lower edge up to ``lam``.
 
     With ``normalized=True`` the result is divided by the continuous mass so
     it forms a proper CDF of the non-atomic part (used for KS comparisons
-    against sampled spectra). The same endpoint-taming substitution as the
-    Marchenko-Pastur quadrature is used.
+    against sampled spectra). Computed by :func:`_edge_quadrature` with
+    ``NOISE_CDF_NODES`` nodes.
     """
     a, b = law.lambda_minus, law.lambda_plus
     mass = continuous_mass(law)
@@ -89,14 +117,8 @@ def noise_cdf(law: NoiseSpectrumLaw, lam: float, nodes: int = 200,
         return 0.0
     if lam >= b:
         lam = b
-    half = 0.5 * (b - a)
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(nodes)
-    t_up = np.arccos(np.clip(1.0 - (lam - a) / half, -1.0, 1.0))
-    t = 0.5 * t_up * (t_nodes + 1.0)
-    w = 0.5 * t_up * t_weights
-    xt = a + half * (1.0 - np.cos(t))
-    integrand = half**2 * np.sin(t) ** 2 / (2.0 * np.pi * xt * (1.0 - xt))
-    total = float(np.sum(w * integrand))
+    total = _edge_quadrature(a, b, lam, lambda xt: 2.0 * np.pi * xt * (1.0 - xt),
+                             NOISE_CDF_NODES)
     return total / mass if normalized else total
 
 

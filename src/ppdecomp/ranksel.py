@@ -17,6 +17,9 @@ import numpy as np
 
 from .exceptions import InvalidInput
 from .linalg import as_matrix
+from .noise import _edge_quadrature
+
+MP_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -39,51 +42,26 @@ def _mp_support(beta: float):
     return (1.0 - np.sqrt(beta)) ** 2, (1.0 + np.sqrt(beta)) ** 2
 
 
-def _mp_cdf_factory(beta: float, nodes: int):
-    """CDF of the Marchenko-Pastur eigenvalue law with ratio ``beta`` <= 1.
-
-    Uses the substitution x = a + (b - a) (1 - cos t) / 2, which removes the
-    square-root endpoint behaviour (and the 1/x pole when a = 0), then fixed
-    Gauss-Legendre quadrature in t.
-    """
-    a, b = _mp_support(beta)
-    half = 0.5 * (b - a)
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(nodes)
-
-    def cdf(x: float) -> float:
-        if x <= a:
-            return 0.0
-        if x >= b:
-            return 1.0
-        t_up = np.arccos(np.clip(1.0 - (x - a) / half, -1.0, 1.0))
-        t = 0.5 * t_up * (t_nodes + 1.0)
-        w = 0.5 * t_up * t_weights
-        xt = a + half * (1.0 - np.cos(t))
-        integrand = half**2 * np.sin(t) ** 2 / (2.0 * np.pi * beta * xt)
-        return float(np.sum(w * integrand))
-
-    return cdf
-
-
-def marchenko_pastur_median(beta: float, nodes: int = 400) -> float:
+def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     """Median of the Marchenko-Pastur eigenvalue distribution, beta in (0, 1].
 
-    Found by bisecting the quadrature CDF to 1/2 within 1e-9.
+    Found by bisecting the CDF, integrated by :func:`ppdecomp.noise._edge_quadrature`
+    with ``nodes`` nodes, to 1/2 within 1e-9.
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidInput(f"beta must lie in (0, 1], got {beta}")
-    cdf = _mp_cdf_factory(beta, nodes)
-    lo, hi = _mp_support(beta)
+    a, b = _mp_support(beta)
+    lo, hi = a, b
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if cdf(mid) < 0.5:
+        if _edge_quadrature(a, b, mid, lambda xt: 2.0 * np.pi * beta * xt, nodes) < 0.5:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def mp_median_sv(n: int, p: int, nodes: int = 400) -> float:
+def mp_median_sv(n: int, p: int) -> float:
     """Median singular value of an n x p matrix of i.i.d. unit-variance noise.
 
     Computed as sqrt(max(n, p) * m_beta) with m_beta the Marchenko-Pastur
@@ -92,7 +70,7 @@ def mp_median_sv(n: int, p: int, nodes: int = 400) -> float:
     if n < 1 or p < 1:
         raise InvalidInput("n and p must be >= 1")
     beta = min(n, p) / max(n, p)
-    return float(np.sqrt(max(n, p) * marchenko_pastur_median(beta, nodes=nodes)))
+    return float(np.sqrt(max(n, p) * marchenko_pastur_median(beta)))
 
 
 def estimate_noise_sigma(singular_values, n: int, p: int) -> float:

@@ -4,6 +4,8 @@ These deliberately avoid the package's own Haar/orthonormalization helpers so
 that planted fixtures stay independent of the code under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -54,7 +56,7 @@ def ablation_paired_runs(n_runs=20, replicates=60, seed0=0):
         boot = ppd.BootstrapConfig(replicates=replicates, seed=seed + 5000)
         rot = ppd.estimate_epsilon1(views[0], views[1], truncs[0], truncs[1],
                                     sigmas[0], sigmas[1], boot)
-        naive = ppd.estimate_epsilon1_naive(views[0], views[1], truncs[0], truncs[1],
-                                            sigmas[0], sigmas[1], boot)
+        naive = ppd.estimate_epsilon1(views[0], views[1], truncs[0], truncs[1],
+                                      sigmas[0], sigmas[1], replace(boot, variant="naive"))
         pairs.append((rot.epsilon1_hat, naive.epsilon1_hat))
     return pairs

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import ppdecomp as ppd
-from ppdecomp import (BootstrapConfig, SimConfig, individual_basis,
-                      joint_basis, noise_cdf, noise_law, principal_spectrum,
-                      run_benchmark, sample_noise_spectrum, subspace_distance,
-                      theorem2_bounds, true_epsilons, truncate, truth_oracle)
+from ppdecomp import (BootstrapConfig, SimConfig, epsilon_pair,
+                      individual_basis, joint_basis, noise_cdf, noise_law,
+                      principal_spectrum, run_benchmark, sample_noise_spectrum,
+                      subspace_distance, theorem2_bounds, truncate,
+                      truth_oracle)
 from ppdecomp.cli import main
 from conftest import ablation_paired_runs, qr_basis
 
@@ -95,7 +96,7 @@ def _theorem_instance(seed):
     views, truth = ppd.generate(cfg)
     truncs = [truncate(views[k], cfg.marginal_ranks[k]) for k in range(2)]
     xs = [np.hstack([truth.joint, truth.individuals[k]]) for k in range(2)]
-    eps1, eps2 = true_epsilons(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
+    eps1, eps2 = epsilon_pair(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
     return cfg, truth, truncs, eps1, eps2
 
 
@@ -215,7 +216,7 @@ def test_criterion_8_brute_force_equivalence():
         joint, inds, hats = small_instance(seed)
         u1 = np.hstack([joint, inds[0]])
         u2 = np.hstack([joint, inds[1]])
-        got = true_epsilons(u1, u2, hats[0], hats[1])
+        got = epsilon_pair(u1, u2, hats[0], hats[1])
         want = bf_epsilons(u1, u2, hats[0], hats[1])
         worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
         spec = principal_spectrum(hats[0], hats[1])

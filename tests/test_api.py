@@ -1,0 +1,64 @@
+"""Guards on the public surface: the exported names, the names the demos and
+README use, and the functions the benchmark tracer hooks."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import ppdecomp as ppd
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "BenchmarkRow", "BootstrapConfig", "BootstrapInfeasible",
+    "DecompositionResult", "DiagnosticReport", "DimensionMismatch",
+    "EpsilonEstimate", "InvalidInput", "NoiseSpectrumLaw", "ParseError",
+    "ProductSpectrum", "RankSelection", "ScoreTriple", "SimConfig", "SimTruth",
+    "Theorem2Report", "Truncation", "TruthOracle", "build_report",
+    "continuous_mass", "decompose", "decompose_multiview",
+    "decomposition_f_score", "density_sv_scale", "epsilon_pair",
+    "estimate_epsilon1", "estimate_noise_sigma", "export_json",
+    "gd_coefficient", "generate", "haar_basis", "individual_basis",
+    "joint_basis", "joint_rank", "marchenko_pastur_median",
+    "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",
+    "noise_law", "orthonormalize", "principal_spectrum", "product_spectrum",
+    "read_matrix_csv", "render_svg", "report_from_json", "report_from_parts",
+    "rotate_align", "run_benchmark", "sample_noise_spectrum", "score",
+    "select_rank", "singular_value_threshold", "spectral_norm",
+    "subspace_distance", "theorem2_bounds", "truncate", "truth_oracle",
+    "write_matrix_csv",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(ppd.__all__) == sorted(PUBLIC)
+    assert len(set(ppd.__all__)) == len(PUBLIC) == 59
+    for name in PUBLIC:
+        assert hasattr(ppd, name), name
+
+
+def test_demos_and_readme_use_existing_names():
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks, "README has no python blocks"
+    sources["README.md"] = "\n".join(blocks)
+    used = 0
+    for origin, text in sources.items():
+        for name in re.findall(r"\bppd\.([A-Za-z_]\w*)", text):
+            assert hasattr(ppd, name), f"{origin} uses missing ppd.{name}"
+            used += 1
+    assert used > 0
+
+
+def test_tracer_finds_every_hook():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
-                      SimConfig, estimate_epsilon1, estimate_epsilon1_naive,
-                      haar_pair, misspecify_ranks, noise_replicate,
-                      principal_spectrum, rotate_align, true_epsilons,
-                      truncate)
+                      SimConfig, decompose, epsilon_pair, estimate_epsilon1,
+                      generate, misspecify_ranks, principal_spectrum,
+                      rotate_align, truncate)
+from ppdecomp.bootstrap import _haar_pair_rng, _noise_replicate_rng
 from conftest import prepared_views
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -13,14 +15,14 @@ FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
 
 
 def test_haar_pair_blocks_are_orthogonal():
-    u1, u2 = haar_pair(30, 7, 9, seed=0)
+    u1, u2 = _haar_pair_rng(30, 7, 9, np.random.default_rng(0))
     assert u1.shape == (30, 7) and u2.shape == (30, 9)
     assert np.max(np.abs(u1.T @ u2)) <= 1e-8
 
 
 def test_haar_pair_deterministic():
-    a1, a2 = haar_pair(20, 4, 5, seed=99)
-    b1, b2 = haar_pair(20, 4, 5, seed=99)
+    a1, a2 = _haar_pair_rng(20, 4, 5, np.random.default_rng(99))
+    b1, b2 = _haar_pair_rng(20, 4, 5, np.random.default_rng(99))
     assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
 
@@ -29,29 +31,25 @@ def test_haar_pair_marginal_is_haar():
     n, r1 = 50, 9
     x = np.zeros(n)
     x[0] = 1.0
-    vals = [np.sum((x @ haar_pair(n, r1, 8, seed=s)[0]) ** 2) for s in range(500)]
+    vals = [np.sum((x @ _haar_pair_rng(n, r1, 8, np.random.default_rng(s))[0]) ** 2)
+            for s in range(500)]
     assert abs(np.mean(vals) - r1 / n) <= 0.05
 
 
-def test_haar_pair_infeasible_ranks():
-    with pytest.raises(BootstrapInfeasible):
-        haar_pair(10, 6, 5, seed=0)
-
-
 def test_rotate_align_all_ones_copies_first_basis():
-    u1, u2 = haar_pair(25, 4, 6, seed=1)
+    u1, u2 = _haar_pair_rng(25, 4, 6, np.random.default_rng(1))
     aligned = rotate_align(u1, u2, np.ones(4))
     assert np.allclose(aligned[:, :4], u1, atol=1e-12)
     assert np.allclose(aligned[:, 4:], u2[:, 4:], atol=1e-12)
 
 
 def test_rotate_align_all_zeros_is_identity():
-    u1, u2 = haar_pair(25, 4, 6, seed=2)
+    u1, u2 = _haar_pair_rng(25, 4, 6, np.random.default_rng(2))
     assert np.allclose(rotate_align(u1, u2, np.zeros(4)), u2, atol=1e-12)
 
 
 def test_rotate_align_reproduces_target_spectrum():
-    u1, u2 = haar_pair(30, 2, 5, seed=3)
+    u1, u2 = _haar_pair_rng(30, 2, 5, np.random.default_rng(3))
     target = np.array([0.9, 0.4])
     aligned = rotate_align(u1, u2, target)
     assert np.allclose(aligned.T @ aligned, np.eye(5), atol=1e-10)
@@ -59,7 +57,7 @@ def test_rotate_align_reproduces_target_spectrum():
 
 
 def test_rotate_align_rejects_overlapping_bases():
-    u1, _ = haar_pair(20, 3, 3, seed=4)
+    u1, _ = _haar_pair_rng(20, 3, 3, np.random.default_rng(4))
     with pytest.raises(InvalidInput):
         rotate_align(u1, u1, np.ones(3))
 
@@ -67,14 +65,15 @@ def test_rotate_align_rejects_overlapping_bases():
 def test_noise_replicate_without_truncation_returns_data():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((12, 9))
-    assert np.array_equal(noise_replicate(y, np.zeros_like(y), 1.3, seed=0), y)
+    e = _noise_replicate_rng(y, np.zeros_like(y), 1.3, np.random.default_rng(0))
+    assert np.array_equal(e, y)
 
 
 def test_noise_replicate_zero_sigma_is_residual():
     rng = np.random.default_rng(6)
     y = rng.standard_normal((12, 9))
     trunc = truncate(y, 3)
-    e = noise_replicate(y, trunc.x_hat, 0.0, seed=0)
+    e = _noise_replicate_rng(y, trunc.x_hat, 0.0, np.random.default_rng(0))
     assert np.allclose(e, y - trunc.x_hat, atol=1e-12)
 
 
@@ -86,7 +85,7 @@ def test_noise_replicate_restores_noise_energy():
     for seed in range(100):
         z = s * np.random.default_rng(seed).standard_normal((n, p))
         trunc = truncate(z, r)
-        e = noise_replicate(z, trunc.x_hat, s, seed=seed + 1)
+        e = _noise_replicate_rng(z, trunc.x_hat, s, np.random.default_rng(seed + 1))
         ratios.append(np.linalg.norm(e, "fro") / np.linalg.norm(z, "fro"))
     assert abs(np.mean(ratios) - 1.0) <= 0.1
 
@@ -99,7 +98,7 @@ def _five_factor_inputs(seed, snr, angle=90.0, over=False):
     cfg = SimConfig(snr=snr, seed=seed, **{**FIVE_CFG, "angle_deg": angle})
     views, truth, truncs, sigmas = prepared_views(cfg, _over_ranks(cfg) if over else None)
     xs = [np.hstack([truth.joint, truth.individuals[k]]) for k in range(2)]
-    oracle = true_epsilons(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
+    oracle = epsilon_pair(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
     return views, truncs, sigmas, oracle
 
 
@@ -184,25 +183,25 @@ def test_naive_variant_shares_the_random_stream():
     views, truncs, sigmas, _ = _five_factor_inputs(seed=5, snr=2.0)
     cfg = BootstrapConfig(replicates=1, seed=11)
     rot = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas, cfg)
-    naive = estimate_epsilon1_naive(views[0], views[1], truncs[0], truncs[1],
-                                    *sigmas, cfg)
-    again = estimate_epsilon1_naive(views[0], views[1], truncs[0], truncs[1],
-                                    *sigmas, cfg)
+    naive_cfg = replace(cfg, variant="naive")
+    naive = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas, naive_cfg)
+    again = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas, naive_cfg)
     assert naive.variant == "naive" and rot.variant == "rotational"
     assert naive.epsilon1_hat == again.epsilon1_hat
     assert naive.per_replicate.shape == rot.per_replicate.shape
 
 
-def test_epsilon2_flag_populates_optional_fields():
-    views, truncs, sigmas, _ = _five_factor_inputs(seed=6, snr=2.0)
-    cfg = BootstrapConfig(replicates=5, seed=13)
-    plain = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas, cfg)
-    assert plain.epsilon2_hat is None
-    rich = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
-                             cfg, with_epsilon2=True)
-    assert rich.epsilon2_hat is not None
-    assert rich.per_replicate_epsilon2.shape == (5,)
-    assert rich.epsilon1_hat == plain.epsilon1_hat
+@pytest.mark.parametrize("k", [-150, -100, -60, 60, 100, 150])
+def test_epsilon1_invariant_to_extreme_view_scale(k):
+    # Debiasing works in units of the leading singular value, so no power of
+    # the noise level over- or underflows.
+    cfg = SimConfig(snr=2.0, seed=3, **{**FIVE_CFG, "angle_deg": 30.0})
+    views, _ = generate(cfg)
+    boot = BootstrapConfig(replicates=50, seed=1)
+    base = decompose(views[0], views[1], bootstrap=boot)
+    scaled = decompose(views[0] * 10.0**k, views[1], bootstrap=boot)
+    assert scaled.joint_rank == base.joint_rank
+    assert scaled.epsilon1_hat == pytest.approx(base.epsilon1_hat, rel=1e-9)
 
 
 def test_epsilon1_infeasible_ranks():

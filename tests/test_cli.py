@@ -5,7 +5,7 @@ import pytest
 
 import ppdecomp as ppd
 from ppdecomp import InvalidInput, ParseError, read_matrix_csv, write_matrix_csv
-from ppdecomp.cli import main
+from ppdecomp.cli import _load_result_json, main
 from conftest import qr_basis
 
 
@@ -289,3 +289,59 @@ def test_cli_bootstrap_infeasible_exit_code(tmp_path, capsys):
                "--ranks", "6,6", "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert "bootstrap infeasible" in capsys.readouterr().err
+
+
+def _write_views(tmp_path, views, tag="v"):
+    args = []
+    for k, v in enumerate(views):
+        p = tmp_path / f"{tag}{k}.csv"
+        write_matrix_csv(p, v)
+        args += ["--view", str(p)]
+    return args
+
+
+def test_decompose_cmd_extreme_view_scale(tmp_path):
+    # A view scaled by 1e100 must decompose like the unscaled one, not overflow.
+    cfg = ppd.SimConfig(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
+                        angle_deg=30.0, snr=2.0, seed=3)
+    views, _ = ppd.generate(cfg)
+    ranks = []
+    for scale in (1.0, 1e100):
+        out = tmp_path / "r.json"
+        rc = main(["decompose", *_write_views(tmp_path, [views[0] * scale, views[1]]),
+                   "--bootstrap-reps", "20", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        ranks.append(json.loads(out.read_text())["joint_rank"])
+    assert ranks[0] == ranks[1]
+
+
+@pytest.mark.parametrize("dims,individual_ranks", [((60, 70), (3, 3)), ((40, 45, 50), (4, 3, 3))],
+                         ids=["two", "three"])
+def test_diagnose_cmd_result_matches_decompose(tmp_path, dims, individual_ranks):
+    cfg = ppd.SimConfig(n=35, dims=dims, joint_rank=3, individual_ranks=individual_ranks,
+                        angle_deg=60.0, snr=2.0, seed=9)
+    views, _ = ppd.generate(cfg)
+    result_path = tmp_path / "result.json"
+    assert main(["decompose", *_write_views(tmp_path, views), "--bootstrap-reps", "20",
+                 "--seed", "5", "--out", str(result_path),
+                 "--diagnostic", str(tmp_path / "a.svg"),
+                 "--diagnostic-json", str(tmp_path / "a.json")]) == 0
+    assert main(["diagnose", "--result", str(result_path), "--svg", str(tmp_path / "b.svg"),
+                 "--json", str(tmp_path / "b.json")]) == 0
+    for ext in ("svg", "json"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+    loaded = _load_result_json(str(result_path))
+    direct = ppd.decompose_multiview(views, bootstrap=ppd.BootstrapConfig(replicates=20, seed=5))
+    assert np.array_equal(loaded.spectrum.values, direct.spectrum.values)
+    assert loaded.spectrum.bootstrap_threshold == direct.spectrum.bootstrap_threshold
+    assert loaded.spectrum.noise_threshold == direct.spectrum.noise_threshold
+    assert loaded.marginal_ranks == direct.marginal_ranks
+    assert loaded.joint_rank == direct.joint_rank
+    assert loaded.epsilon1_hat == direct.epsilon1_hat
+    assert loaded.sigma_hats == direct.sigma_hats
+    assert loaded.binding_pair == direct.binding_pair
+    assert np.array_equal(loaded.joint, direct.joint)
+    assert len(loaded.individuals) == len(direct.individuals)
+    for got, want in zip(loaded.individuals, direct.individuals):
+        assert np.array_equal(got, want)

@@ -6,10 +6,10 @@ import pytest
 import ppdecomp as ppd
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, DimensionMismatch,
                       InvalidInput, ProductSpectrum, decompose,
-                      decompose_multiview, individual_basis, joint_basis,
-                      joint_rank, principal_spectrum, product_spectrum,
-                      subspace_distance, theorem1_intervals, theorem2_bounds,
-                      true_epsilons, truth_oracle)
+                      decompose_multiview, epsilon_pair, individual_basis,
+                      joint_basis, joint_rank, principal_spectrum,
+                      product_spectrum, subspace_distance, theorem2_bounds,
+                      truth_oracle)
 from conftest import angled_pair, projector, qr_basis
 
 LIGHT_BOOT = BootstrapConfig(replicates=12, seed=17)
@@ -155,7 +155,7 @@ def test_individual_basis_recovers_planted_individual_noiseless():
 def test_true_epsilons_zero_perturbation():
     u1 = qr_basis(9, 3, np.random.default_rng(9))
     u2 = qr_basis(9, 4, np.random.default_rng(10))
-    eps1, eps2 = true_epsilons(u1, u2, u1, u2)
+    eps1, eps2 = epsilon_pair(u1, u2, u1, u2)
     assert eps1 <= 1e-12 and eps2 <= 1e-12
 
 
@@ -164,7 +164,7 @@ def test_true_epsilons_missed_joint_direction():
     q = qr_basis(10, 4, np.random.default_rng(11))
     joint = q[:, :2]
     off = q[:, 2:]
-    eps1, _ = true_epsilons(joint, joint, off, joint)
+    eps1, _ = epsilon_pair(joint, joint, off, joint)
     assert eps1 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -173,7 +173,7 @@ def test_epsilons_match_brute_force(seed):
     joint, inds, hats = small_instance(seed)
     u1 = np.hstack([joint, inds[0]])
     u2 = np.hstack([joint, inds[1]])
-    got = true_epsilons(u1, u2, hats[0], hats[1])
+    got = epsilon_pair(u1, u2, hats[0], hats[1])
     want = bf_epsilons(u1, u2, hats[0], hats[1])
     want_delta = bf_epsilons_delta_form(u1, u2, hats[0], hats[1])
     assert got[0] == pytest.approx(want[0], abs=1e-10)
@@ -189,7 +189,7 @@ def test_theorem1_intervals_noiseless_collapse():
     i1, i2 = angled_pair(16, 3, 3, 40.0, rng)
     joint = np.linalg.qr(
         (np.eye(16) - projector(np.hstack([i1, i2]))) @ rng.standard_normal((16, 2)))[0]
-    ivals = theorem1_intervals(joint, (i1, i2), 0.0, 0.0)
+    ivals = truth_oracle(joint, (i1, i2), 0.0, 0.0).cluster_intervals
     assert ivals[0] == (1.0, 1.0)
     assert ivals[1][0] == pytest.approx(math.cos(math.radians(40.0)), abs=1e-8)
     assert ivals[1][1] == pytest.approx(math.cos(math.radians(40.0)), abs=1e-8)
@@ -200,7 +200,7 @@ def test_theorem1_intervals_degenerate_epsilon():
     rng = np.random.default_rng(13)
     i1, i2 = angled_pair(16, 3, 3, 40.0, rng)
     joint = qr_basis(16, 2, rng)
-    ivals = theorem1_intervals(joint, (i1, i2), 1.2, 0.4)
+    ivals = truth_oracle(joint, (i1, i2), 1.2, 0.4).cluster_intervals
     assert ivals[0] == (0.0, 1.0)
 
 
@@ -366,19 +366,6 @@ def test_multiview_noiseless_three_views():
     assert subspace_distance(res.joint, truth.joint) <= 1e-8
     for k in range(3):
         assert subspace_distance(res.individuals[k], truth.individuals[k]) <= 1e-8
-
-
-def test_multiview_pairwise_joint_product_close_to_permutation():
-    cfg = ppd.SimConfig(n=35, dims=(40, 45, 50), joint_rank=3,
-                        individual_ranks=(4, 3, 3), angle_deg=90.0, snr=2.0,
-                        seed=25)
-    views, _ = ppd.generate(cfg)
-    boot = BootstrapConfig(replicates=15, seed=5)
-    perm = decompose_multiview(views, ranks=cfg.marginal_ranks, bootstrap=boot)
-    pair = decompose_multiview(views, ranks=cfg.marginal_ranks, bootstrap=boot,
-                               joint_product="pairwise")
-    assert perm.joint_rank == pair.joint_rank
-    assert subspace_distance(perm.joint, pair.joint) <= 0.2
 
 
 def test_multiview_permutation_guard_for_many_views():

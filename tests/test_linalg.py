@@ -1,54 +1,37 @@
 import numpy as np
 import pytest
 
-from ppdecomp import (DimensionMismatch, InvalidInput, compact_svd,
-                      orthonormalize, principal_spectrum, subspace_distance)
+from ppdecomp import (DimensionMismatch, InvalidInput, orthonormalize,
+                      principal_spectrum, subspace_distance)
 from conftest import angled_pair, qr_basis
 
 
-def test_compact_svd_diagonal():
-    svd = compact_svd(np.diag([3.0, 1.0]))
-    assert np.allclose(svd.values, [3.0, 1.0])
-
-
-def test_compact_svd_rank_one_outer_product():
+def test_orthonormalize_rank_one_outer_product():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(6)
     b = rng.standard_normal(4)
-    svd = compact_svd(np.outer(a, b))
-    assert svd.values.shape == (1,)
-    assert svd.values[0] == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
-
-
-def test_compact_svd_values_match_gram_eigenvalues():
-    # Oracle: squared singular values are the eigenvalues of A^T A from an
-    # independent symmetric eigensolver.
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 3))
-    svd = compact_svd(a)
-    eigs = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
-    assert np.allclose(svd.values**2, eigs[: svd.values.size], rtol=1e-8)
+    basis = orthonormalize(np.outer(a, b))
+    assert basis.shape == (6, 1)
+    assert abs(basis[:, 0] @ a) == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (20, 20), (120, 200), (200, 200)])
-def test_compact_svd_reconstruction(shape):
+def test_orthonormalize_reconstruction(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.standard_normal(shape)
-    svd = compact_svd(a)
-    recon = (svd.left * svd.values) @ svd.right.T
-    assert np.max(np.abs(a - recon)) <= 1e-8 * svd.values[0]
-    assert np.all(np.diff(svd.values) <= 0)
+    basis = orthonormalize(a)
+    assert basis.shape == (shape[0], min(shape))
+    assert np.allclose(basis.T @ basis, np.eye(min(shape)), atol=1e-10)
+    assert np.max(np.abs(basis @ (basis.T @ a) - a)) <= 1e-8 * np.linalg.norm(a, 2)
 
 
-def test_compact_svd_zero_matrix_is_rank_zero():
-    svd = compact_svd(np.zeros((4, 3)))
-    assert svd.values.size == 0
-    assert svd.left.shape == (4, 0)
+def test_orthonormalize_zero_matrix_is_rank_zero():
+    assert orthonormalize(np.zeros((4, 3))).shape == (4, 0)
 
 
-def test_compact_svd_rejects_nonfinite():
+def test_orthonormalize_rejects_nonfinite():
     with pytest.raises(InvalidInput):
-        compact_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        orthonormalize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_orthonormalize_identity():
