@@ -35,7 +35,7 @@ import numpy as np
 
 from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
-from .linalg import haar_basis, orthonormalize, principal_spectrum
+from .linalg import haar_basis, principal_spectrum
 from .oracle import epsilon_pair
 from .ranksel import Truncation, truncate
 
@@ -69,12 +69,12 @@ class EpsilonEstimate:
 def _haar_pair_rng(n, r1, r2, rng):
     """Mutually orthogonal Haar frames of ranks r1 and r2 in R^n, with r1 + r2 <= n.
 
-    Taken as consecutive blocks of the left singular basis of one Gaussian
-    n x n matrix drawn from ``rng``, so the two frames are orthogonal by
+    Taken as consecutive column blocks of one Haar (n, r1 + r2) frame from
+    :func:`ppdecomp.linalg.haar_basis`, so the two frames are orthogonal by
     construction.
     """
-    u = np.linalg.svd(rng.standard_normal((n, n)))[0]
-    return u[:, :r1], u[:, r1:r1 + r2]
+    u = haar_basis(n, r1 + r2, rng)
+    return u[:, :r1], u[:, r1:]
 
 
 def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
@@ -99,26 +99,23 @@ def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
     return out
 
 
-def _noise_replicate_rng(y, x_hat, sigma_hat, rng):
+def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
     """Adjusted noise estimate: the truncation residual plus imputed noise.
 
-    The residual ``y - x_hat`` carries no energy along the estimated left
-    signal directions; an independent Gaussian draw from ``rng`` at level
-    ``sigma_hat``, projected onto those directions, puts it back. The
-    residual's orthogonal complement is untouched.
+    The residual ``y - trunc.x_hat`` carries no energy along the estimated
+    left signal directions ``trunc.basis``; an independent Gaussian draw from
+    ``rng`` at level ``sigma_hat``, placed along those directions, puts it
+    back. The residual's orthogonal complement is untouched.
     """
-    e = y - x_hat
+    e = y - trunc.x_hat
     if sigma_hat < 0:
         raise InvalidInput("sigma_hat must be >= 0")
-    if sigma_hat == 0.0:
-        return e
-    basis = orthonormalize(x_hat)
-    r = basis.shape[1]
-    if r == 0:
+    r = trunc.basis.shape[1]
+    if sigma_hat == 0.0 or r == 0:
         return e
     # Restore the noise energy removed with the truncated signal directions.
     g = sigma_hat * rng.standard_normal((r, y.shape[1]))
-    return e + basis @ g
+    return e + trunc.basis @ g
 
 
 def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np.ndarray:
@@ -189,8 +186,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
     k1 = int(np.count_nonzero(s1))
     k2 = int(np.count_nonzero(s2))
-    e1 = _noise_replicate_rng(y1, trunc1.x_hat, sigma1, derive_rng(cfg.seed, STREAM_NOISE, 0))
-    e2 = _noise_replicate_rng(y2, trunc2.x_hat, sigma2, derive_rng(cfg.seed, STREAM_NOISE, 1))
+    e1 = _noise_replicate_rng(y1, trunc1, sigma1, derive_rng(cfg.seed, STREAM_NOISE, 0))
+    e2 = _noise_replicate_rng(y2, trunc2, sigma2, derive_rng(cfg.seed, STREAM_NOISE, 1))
 
     vals = np.zeros(b_reps)
     for b in range(b_reps):

@@ -39,6 +39,13 @@ def _basis_json(basis: np.ndarray) -> dict:
     }
 
 
+def _float_vector(values) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got shape {out.shape}")
+    return out
+
+
 def _basis_from_json(obj: dict) -> np.ndarray:
     cols = obj["columns"]
     if not cols:
@@ -141,7 +148,9 @@ def _parse_simulation_config(path: str) -> dict:
         "rank_modes": take("rank_modes", str_list, required=True),
         "reps": take("reps", int, required=True),
         "seed": take("seed", int, default=DEFAULT_SEED),
-        "bootstrap_reps": take("bootstrap_reps", int, default=100),
+        "bootstrap_reps": take("bootstrap_reps",
+                               lambda v: BootstrapConfig(replicates=int(v)).replicates,
+                               default=100),
         "sv_range": take("sv_range", float_list, default=(1.0, 2.0)),
     }
     if raw:
@@ -218,13 +227,13 @@ def _load_result_json(path: str) -> DecompositionResult:
         payload = json.load(fh)
     try:
         spectrum = ProductSpectrum(
-            values=np.asarray(payload["spectrum"]["values"], dtype=float),
+            values=_float_vector(payload["spectrum"]["values"]),
             bootstrap_threshold=float(payload["spectrum"]["bootstrap_threshold"]),
             noise_threshold=float(payload["spectrum"]["noise_threshold"]),
         )
         joint = _basis_from_json(payload["joint"])
         individuals = [_basis_from_json(b) for b in payload["individuals"]]
-        return DecompositionResult(
+        result = DecompositionResult(
             joint=joint,
             individuals=individuals,
             marginal_ranks=tuple(int(r) for r in payload["marginal_ranks"]),
@@ -235,32 +244,30 @@ def _load_result_json(path: str) -> DecompositionResult:
             view_bases=[],
             binding_pair=tuple(int(i) for i in payload.get("binding_pair", (0, 1))),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: not a decomposition result file ({exc})") from None
+    pair = result.binding_pair
+    if len(pair) != 2 or not all(0 <= i < len(result.marginal_ranks) for i in pair):
+        raise InvalidInput(f"{path}: binding_pair {list(pair)} does not name two of "
+                           f"{len(result.marginal_ranks)} views")
+    return result
 
 
 def _cmd_diagnose(args) -> int:
     if not args.svg and not args.json_out:
         raise InvalidInput("pass --svg and/or --json")
-    if args.result:
-        result = _load_result_json(args.result)
-    elif args.view and len(args.view) >= 2:
-        views = [read_matrix_csv(p, has_header=args.has_header) for p in args.view]
-        ranks = _parse_ranks(args.ranks, len(views))
-        result = decompose_multiview(
-            views, ranks=ranks,
-            bootstrap=BootstrapConfig(replicates=args.bootstrap_reps, seed=args.seed))
-    else:
-        raise InvalidInput("pass --result or at least two --view files")
-    report = build_report(result)
+    report = build_report(_load_result_json(args.result))
     if args.truth:
         with open(args.truth) as fh:
             sidecar = json.load(fh)
-        if "truth_lines" in sidecar:
-            report = replace(report, truth_lines=np.asarray(sidecar["truth_lines"], dtype=float))
-        if "theorem1_intervals" in sidecar:
-            report = replace(report, theorem1=tuple(
-                (float(lo), float(hi)) for lo, hi in sidecar["theorem1_intervals"]))
+        try:
+            if "truth_lines" in sidecar:
+                report = replace(report, truth_lines=_float_vector(sidecar["truth_lines"]))
+            if "theorem1_intervals" in sidecar:
+                report = replace(report, theorem1=tuple(
+                    (float(lo), float(hi)) for lo, hi in sidecar["theorem1_intervals"]))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{args.truth}: not a truth sidecar ({exc})") from None
     if args.svg:
         atomic_write_text(args.svg, render_svg(report))
     if args.json_out:
@@ -306,13 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.set_defaults(func=_cmd_noise_spectrum)
 
     p_diag = sub.add_parser("diagnose", help="diagnostic plot from a stored result")
-    p_diag.add_argument("--result", help="result JSON from 'decompose'")
-    p_diag.add_argument("--view", action="append",
-                        help="recompute from view CSVs instead of --result")
-    p_diag.add_argument("--ranks", default="auto")
-    p_diag.add_argument("--bootstrap-reps", type=int, default=100)
-    p_diag.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_diag.add_argument("--has-header", action="store_true")
+    p_diag.add_argument("--result", required=True, help="result JSON from 'decompose'")
     p_diag.add_argument("--truth", help="optional truth sidecar JSON (simulation mode)")
     p_diag.add_argument("--svg", help="output SVG path")
     p_diag.add_argument("--json", dest="json_out", help="output report JSON path")

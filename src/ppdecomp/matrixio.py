@@ -20,26 +20,29 @@ def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     """Read a rectangular numeric CSV into a float matrix."""
     rows = []
     width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, fields in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if width is None:
-                width = len(fields)
-            if len(fields) != width:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}",
-                    line=lineno)
-            parsed = []
-            for col, cell in enumerate(fields, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for lineno, fields in enumerate(reader, start=1):
+                if has_header and lineno == 1:
+                    continue
+                if width is None:
+                    width = len(fields)
+                if len(fields) != width:
                     raise ParseError(
-                        f"{path}: non-numeric cell {cell!r} at line {lineno}, column {col}",
-                        line=lineno, col=col) from None
-            rows.append(parsed)
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {width}",
+                        line=lineno)
+                parsed = []
+                for col, cell in enumerate(fields, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell {cell!r} at line {lineno}, column {col}",
+                            line=lineno, col=col) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows or width == 0:
         raise InvalidInput(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import haar_basis
+from .linalg import haar_basis, principal_spectrum
 from ._rng import derive_rng
 
 NOISE_CDF_NODES = 200
@@ -144,12 +144,9 @@ def density_sv_scale(law: NoiseSpectrumLaw, s) -> np.ndarray:
 
 def sample_noise_spectrum(n: int, r1: int, r2: int, seed: int) -> np.ndarray:
     """Squared singular values of U1.T @ U2 for independent Haar bases, descending."""
-    if r1 > n or r2 > n:
-        raise InvalidInput(f"ranks ({r1}, {r2}) must not exceed n = {n}")
+    if n < 1 or not (0 <= r1 <= n and 0 <= r2 <= n):
+        raise InvalidInput(f"need n >= 1 and ranks in [0, n]; got n = {n}, ranks ({r1}, {r2})")
     rng = derive_rng(seed)
     u1 = haar_basis(n, r1, rng)
     u2 = haar_basis(n, r2, rng)
-    if min(r1, r2) == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(u1.T @ u2, compute_uv=False)
-    return np.clip(s, 0.0, 1.0) ** 2
+    return principal_spectrum(u1, u2) ** 2

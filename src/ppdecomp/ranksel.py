@@ -86,7 +86,7 @@ def estimate_noise_sigma(singular_values, n: int, p: int) -> float:
         raise InvalidInput(
             f"expected the full spectrum of min(n, p) = {min(n, p)} values, got {s.size}"
         )
-    return float(np.median(s) / mp_median_sv(n, p))
+    return _selection_from_spectrum(s, n, p).sigma_hat
 
 
 def _selection_from_spectrum(s: np.ndarray, n: int, p: int) -> RankSelection:
@@ -122,15 +122,12 @@ class Truncation(NamedTuple):
     x_hat: np.ndarray     # best rank-r approximation in Frobenius norm
     basis: np.ndarray     # (n, r) leading left singular vectors
     values: np.ndarray    # r leading singular values, descending
-    right: np.ndarray     # (p, r) leading right singular vectors
 
 
 def _truncation_from_svd(u, s, vt, rank: int) -> Truncation:
     basis = u[:, :rank]
     values = s[:rank].copy()
-    right = vt[:rank].T
-    x_hat = (basis * values) @ right.T
-    return Truncation(x_hat, basis, values, right)
+    return Truncation((basis * values) @ vt[:rank], basis, values)
 
 
 def truncate(y, rank: int) -> Truncation:
@@ -140,6 +137,6 @@ def truncate(y, rank: int) -> Truncation:
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
     if rank == 0:
-        return Truncation(np.zeros_like(y), np.zeros((n, 0)), np.zeros(0), np.zeros((p, 0)))
+        return Truncation(np.zeros_like(y), np.zeros((n, 0)), np.zeros(0))
     u, s, vt = np.linalg.svd(y, full_matrices=False)
     return _truncation_from_svd(u, s, vt, rank)

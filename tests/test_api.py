@@ -3,9 +3,11 @@ README use, and the functions the benchmark tracer hooks."""
 
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import ppdecomp as ppd
+from ppdecomp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,14 +53,31 @@ def test_demos_and_readme_use_existing_names():
     assert used > 0
 
 
-def test_tracer_finds_every_hook():
+def test_tracer_finds_every_hook(tmp_path):
+    # Every hook must be importable and also reached: a hooked name that the
+    # pipeline no longer calls would silently read 0 in its per-layer metric.
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    cfg = ppd.SimConfig(n=30, dims=(36, 40), joint_rank=2, individual_ranks=(3, 2),
+                        angle_deg=60.0, snr=2.0, seed=1)
+    argv = ["decompose", "--bootstrap-reps", "3", "--out", str(tmp_path / "r.json"),
+            "--diagnostic", str(tmp_path / "d.svg"),
+            "--diagnostic-json", str(tmp_path / "d.json")]
+    for k, view in enumerate(ppd.generate(cfg)[0]):
+        ppd.write_matrix_csv(tmp_path / f"v{k}.csv", view)
+        argv += ["--view", str(tmp_path / f"v{k}.csv")]
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
         assert tracer.absent == []
+        with tracer.operation(0, "simulate"):
+            ppd.run_benchmark([replace(cfg, rank_mode="estimated")], reps=1,
+                              bootstrap_reps=3)
+        with tracer.operation(1, "cli"):
+            assert main(argv) == 0
     finally:
         tracer.uninstall()
+    missing = {span for _, _, span in tracer_mod.HOOKS} - {span[0] for span in tracer.spans}
+    assert not missing, f"hooked names never called: {sorted(missing)}"

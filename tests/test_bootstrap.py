@@ -7,6 +7,7 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       SimConfig, decompose, epsilon_pair, estimate_epsilon1,
                       generate, misspecify_ranks, principal_spectrum,
                       rotate_align, truncate)
+import ppdecomp.bootstrap
 from ppdecomp.bootstrap import _haar_pair_rng, _noise_replicate_rng
 from conftest import prepared_views
 
@@ -28,12 +29,13 @@ def test_haar_pair_deterministic():
 
 def test_haar_pair_marginal_is_haar():
     # For a Haar frame, E ||x^T U||^2 = r/n for any fixed unit vector x.
-    n, r1 = 50, 9
+    n, r1, r2 = 50, 9, 8
     x = np.zeros(n)
     x[0] = 1.0
-    vals = [np.sum((x @ _haar_pair_rng(n, r1, 8, np.random.default_rng(s))[0]) ** 2)
-            for s in range(500)]
-    assert abs(np.mean(vals) - r1 / n) <= 0.05
+    pairs = [_haar_pair_rng(n, r1, r2, np.random.default_rng(s)) for s in range(500)]
+    for block, r in ((0, r1), (1, r2)):
+        vals = [np.sum((x @ pair[block]) ** 2) for pair in pairs]
+        assert abs(np.mean(vals) - r / n) <= 0.05
 
 
 def test_rotate_align_all_ones_copies_first_basis():
@@ -65,7 +67,7 @@ def test_rotate_align_rejects_overlapping_bases():
 def test_noise_replicate_without_truncation_returns_data():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((12, 9))
-    e = _noise_replicate_rng(y, np.zeros_like(y), 1.3, np.random.default_rng(0))
+    e = _noise_replicate_rng(y, truncate(y, 0), 1.3, np.random.default_rng(0))
     assert np.array_equal(e, y)
 
 
@@ -73,7 +75,7 @@ def test_noise_replicate_zero_sigma_is_residual():
     rng = np.random.default_rng(6)
     y = rng.standard_normal((12, 9))
     trunc = truncate(y, 3)
-    e = _noise_replicate_rng(y, trunc.x_hat, 0.0, np.random.default_rng(0))
+    e = _noise_replicate_rng(y, trunc, 0.0, np.random.default_rng(0))
     assert np.allclose(e, y - trunc.x_hat, atol=1e-12)
 
 
@@ -85,7 +87,7 @@ def test_noise_replicate_restores_noise_energy():
     for seed in range(100):
         z = s * np.random.default_rng(seed).standard_normal((n, p))
         trunc = truncate(z, r)
-        e = _noise_replicate_rng(z, trunc.x_hat, s, np.random.default_rng(seed + 1))
+        e = _noise_replicate_rng(z, trunc, s, np.random.default_rng(seed + 1))
         ratios.append(np.linalg.norm(e, "fro") / np.linalg.norm(z, "fro"))
     assert abs(np.mean(ratios) - 1.0) <= 0.1
 
@@ -130,6 +132,31 @@ def test_epsilon1_calibrated_under_over_specified_ranks(angle):
                                 BootstrapConfig(replicates=100, seed=seed + 300))
         biases.append(est.epsilon1_hat - eps1)
     assert abs(np.mean(biases)) <= 0.05
+
+
+def _svd_haar_pair(n, r1, r2, rng):
+    """Reference pair draw: consecutive blocks of the left singular basis of
+    one Gaussian n x n matrix, an independent construction of the Haar law."""
+    u = np.linalg.svd(rng.standard_normal((n, n)))[0]
+    return u[:, :r1], u[:, r1:r1 + r2]
+
+
+def test_epsilon1_same_law_as_svd_haar_pair(monkeypatch):
+    # The QR pair draw and the SVD reference are both Haar, so epsilon_1 may
+    # differ only within its Monte-Carlo error. Over 20 draws the mean
+    # standardized difference has sd about 0.22.
+    def estimates(seed):
+        views, truncs, sigmas, _ = _five_factor_inputs(seed, 2.0, 30.0)
+        return estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
+                                 BootstrapConfig(replicates=100, seed=seed + 300))
+
+    new = [estimates(seed) for seed in range(20)]
+    monkeypatch.setattr(ppdecomp.bootstrap, "_haar_pair_rng", _svd_haar_pair)
+    old = [estimates(seed) for seed in range(20)]
+    z = [(a.epsilon1_hat - b.epsilon1_hat)
+         / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
+         for a, b in zip(new, old)]
+    assert abs(np.mean(z)) <= 1.0
 
 
 def test_epsilon1_deterministic_and_consistent():

@@ -257,6 +257,66 @@ def test_diagnose_cmd_needs_an_output(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def _edited_result(tmp_path, edit):
+    result = make_result_json(tmp_path)
+    payload = json.loads(result.read_text())
+    edit(payload)
+    result.write_text(json.dumps(payload))
+    return ["diagnose", "--result", str(result), "--svg", str(tmp_path / "p.svg")]
+
+
+def _truth_sidecar(tmp_path, sidecar):
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(sidecar))
+    return ["diagnose", "--result", str(make_result_json(tmp_path)), "--truth", str(truth),
+            "--svg", str(tmp_path / "p.svg")]
+
+
+def _latin1_views(tmp_path):
+    p1, p2 = write_noiseless_views(tmp_path)
+    p2.write_bytes("\u00e9,1\n".encode("latin-1") + p2.read_bytes())
+    return ["decompose", "--view", str(p1), "--view", str(p2), "--has-header",
+            "--out", str(tmp_path / "r.json")]
+
+
+def _sim_config(tmp_path, text):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(text)
+    return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]
+
+
+HOSTILE = {
+    "result-non-numeric-scalar": lambda t: _edited_result(
+        t, lambda d: d.update(epsilon1_hat="abc")),
+    "result-ragged-columns": lambda t: _edited_result(
+        t, lambda d: d["joint"].update(columns=[[1.0, 0.0], [0.0]])),
+    "result-scalar-spectrum": lambda t: _edited_result(
+        t, lambda d: d["spectrum"].update(values=5)),
+    "result-binding-pair-out-of-range": lambda t: _edited_result(
+        t, lambda d: d.update(binding_pair=[0, 5])),
+    "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
+    "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
+    "truth-intervals-not-pairs": lambda t: _truth_sidecar(
+        t, {"theorem1_intervals": [[0.1, 0.2, 0.3], 1]}),
+    "noise-spectrum-zero-n": lambda t: ["noise-spectrum", "--n", "0", "--r1", "0", "--r2", "0",
+                                        "--out", str(t / "x.json")],
+    "noise-spectrum-negative-rank": lambda t: ["noise-spectrum", "--n", "10", "--r1", "-1",
+                                               "--r2", "2", "--out", str(t / "x.json")],
+    "view-not-utf8": _latin1_views,
+    "simulate-zero-bootstrap-reps": lambda t: _sim_config(
+        t, SIM_CONFIG.replace("bootstrap_reps = 8", "bootstrap_reps = 0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_cli_hostile_input_exit_code(tmp_path, capsys, case):
+    argv = HOSTILE[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_decompose_cmd_end_to_end_monte_carlo(tmp_path):
     # Simulated two-view draws written to CSV and decomposed through the CLI
     # recover the planted joint rank in nearly every seed.
