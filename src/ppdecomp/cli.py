@@ -47,10 +47,11 @@ def _float_vector(values) -> np.ndarray:
 
 
 def _basis_from_json(obj: dict) -> np.ndarray:
-    cols = obj["columns"]
-    if not cols:
-        return np.zeros((int(obj["ambient_dim"]), 0))
-    return np.asarray(cols, dtype=float).T
+    n, cols = int(obj["ambient_dim"]), obj["columns"]
+    basis = np.asarray(cols, dtype=float).T if cols else np.zeros((n, 0))
+    if basis.ndim != 2 or basis.shape[0] != n or not np.all(np.isfinite(basis)):
+        raise ValueError(f"basis columns must hold {n} finite numbers each")
+    return basis
 
 
 def _result_json(result: DecompositionResult, seed: int, bootstrap_reps: int) -> str:

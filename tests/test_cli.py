@@ -294,6 +294,10 @@ HOSTILE = {
         t, lambda d: d["spectrum"].update(values=5)),
     "result-binding-pair-out-of-range": lambda t: _edited_result(
         t, lambda d: d.update(binding_pair=[0, 5])),
+    "result-basis-length-mismatch": lambda t: _edited_result(
+        t, lambda d: d["joint"].update(ambient_dim=7)),
+    "result-basis-non-finite": lambda t: _edited_result(
+        t, lambda d: d["joint"]["columns"].__setitem__(0, [float("nan")] * 20)),
     "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
     "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
     "truth-intervals-not-pairs": lambda t: _truth_sidecar(

@@ -6,6 +6,7 @@ import pytest
 from ppdecomp import (InvalidInput, SimConfig, estimate_noise_sigma, generate,
                       gd_coefficient, marchenko_pastur_median, mp_median_sv,
                       select_rank, truncate)
+from conftest import projector, qr_basis
 
 
 def mp_median_oracle(beta):
@@ -148,6 +149,40 @@ def test_truncate_is_frobenius_optimal():
     for r in (0, 3, 9):
         err = np.linalg.norm(y - truncate(y, r).x_hat, "fro")
         assert err == pytest.approx(math.sqrt(np.sum(s[r:] ** 2)), abs=1e-8)
+
+
+def _planted(n, p, strengths, noise, seed):
+    rng = np.random.default_rng(seed)
+    k = len(strengths)
+    signal = (qr_basis(n, k, rng) * strengths) @ qr_basis(p, k, rng).T
+    return signal + noise * rng.standard_normal((n, p))
+
+
+def _projector_gap(a, b):
+    return np.linalg.norm(projector(a) - projector(b), 2)
+
+
+@pytest.mark.parametrize("shape", [(30, 70), (70, 30), (40, 40)],
+                         ids=["wide", "tall", "square"])
+def test_truncate_matches_svd(shape):
+    # The Gram route agrees with a full SVD to round-off when the rank-r gap is
+    # clear, keeps surplus values of a rank-deficient input at round-off, and
+    # neither overflows nor underflows at extreme scales.
+    y = _planted(*shape, np.linspace(10.0, 5.0, 6), 0.1, seed=sum(shape))
+    trunc = truncate(y, 6)
+    u, s, _ = np.linalg.svd(y)
+    assert _projector_gap(trunc.basis, u[:, :6]) <= 1e-12
+    assert np.all(np.abs(trunc.values - s[:6]) <= 1e-12 * s[:6])
+    assert np.all(np.diff(trunc.values) <= 0.0)
+
+    values = truncate(_planted(*shape, np.linspace(10.0, 5.0, 4), 0.0, seed=1), 6).values
+    assert np.all(values[4:] <= 1e-12 * values[0])
+
+    for scale in (1e150, 1e-150):
+        scaled = truncate(y * scale, 6)
+        assert all(np.all(np.isfinite(a)) for a in scaled)
+        assert _projector_gap(scaled.basis, trunc.basis) <= 1e-12
+        assert scaled.values / scale == pytest.approx(trunc.values, rel=1e-12)
 
 
 def test_truncate_rejects_excessive_rank():
