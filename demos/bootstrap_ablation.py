@@ -30,8 +30,7 @@ for seed in range(runs):
                         seed=seed)
     views, truth = ppd.generate(cfg)
     truncs = [ppd.truncate(v, r) for v, r in zip(views, cfg.marginal_ranks)]
-    sigmas = [ppd.estimate_noise_sigma(np.linalg.svd(v, compute_uv=False), *v.shape)
-              for v in views]
+    sigmas = [ppd.select_rank(v).sigma_hat for v in views]
     xs = [np.hstack([truth.joint, truth.individuals[k]]) for k in range(2)]
     oracle, _ = ppd.epsilon_pair(xs[0], xs[1], truncs[0].basis, truncs[1].basis)
 

@@ -27,9 +27,9 @@ from .noise import (NoiseSpectrumLaw, continuous_mass, density_sv_scale,
                     singular_value_threshold)
 from .oracle import (Theorem2Report, TruthOracle, epsilon_pair,
                      theorem2_bounds, truth_oracle)
-from .ranksel import (RankSelection, Truncation, estimate_noise_sigma,
-                      gd_coefficient, marchenko_pastur_median, mp_median_sv,
-                      select_rank, truncate)
+from .ranksel import (RankSelection, Truncation, gd_coefficient,
+                      marchenko_pastur_median, mp_median_sv, select_rank,
+                      truncate)
 from .simulate import (BenchmarkRow, ScoreTriple, SimConfig, SimTruth,
                        decomposition_f_score, generate, misspecify_ranks,
                        run_benchmark, score)
@@ -44,7 +44,7 @@ __all__ = [
     "Theorem2Report", "Truncation", "TruthOracle", "build_report",
     "continuous_mass", "decompose", "decompose_multiview",
     "decomposition_f_score", "density_sv_scale", "epsilon_pair",
-    "estimate_epsilon1", "estimate_noise_sigma", "export_json",
+    "estimate_epsilon1", "export_json",
     "gd_coefficient", "generate", "haar_basis", "individual_basis",
     "joint_basis", "joint_rank", "marchenko_pastur_median",
     "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",

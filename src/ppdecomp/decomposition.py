@@ -2,7 +2,9 @@
 
 Pipeline for two views Y1, Y2 sharing their n rows:
 
-1. estimate each view's signal by truncated SVD at the selected marginal rank;
+1. pick each view's marginal rank and noise level by the hard-threshold rule
+   (``select_rank``) and estimate its signal at that rank by ``truncate``, the
+   routine that also re-truncates every bootstrap replicate;
 2. bootstrap the perturbation bound epsilon_1 of the top spectral cluster;
 3. bound random-alignment singular values analytically by sqrt(lambda_plus)
    with rank-to-dimension ratios q_k = rank_k / n;
@@ -33,7 +35,7 @@ from .bootstrap import BootstrapConfig, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
 from .linalg import as_matrix, principal_spectrum, reduced_coords
 from .noise import noise_law
-from .ranksel import _selection_from_spectrum, _truncation_from_svd
+from .ranksel import select_rank, truncate
 
 # Upper cap on the bootstrap threshold 1 - epsilon1_hat. In exactly noiseless
 # data epsilon1_hat underflows to ~1e-16 and the joint singular values equal 1
@@ -105,7 +107,16 @@ def _symmetrized_product(coords) -> np.ndarray:
     return 0.5 * (t + t.T)
 
 
-def _joint_from_bases(bases, r_joint: int) -> np.ndarray:
+def joint_basis(bases, r_joint: int) -> np.ndarray:
+    """Leading eigenvectors of the symmetrized projection product of K >= 2 bases.
+
+    Solved as a reduced symmetric eigenproblem inside the span of the bases;
+    the projectors are never materialized at ambient size.
+    """
+    if r_joint < 0:
+        raise InvalidInput("r_joint must be >= 0")
+    if r_joint > min(u.shape[1] for u in bases):
+        raise InvalidInput("r_joint exceeds a marginal rank")
     n = bases[0].shape[0]
     if r_joint == 0:
         return np.zeros((n, 0))
@@ -114,19 +125,6 @@ def _joint_from_bases(bases, r_joint: int) -> np.ndarray:
     evals, evecs = np.linalg.eigh(t)
     top = evecs[:, np.argsort(evals)[::-1][:r_joint]]
     return w @ top
-
-
-def joint_basis(u1_hat, u2_hat, r_joint: int) -> np.ndarray:
-    """Leading eigenvectors of the symmetrized projection product.
-
-    Solved as a reduced symmetric eigenproblem inside span[u1_hat, u2_hat];
-    the projectors are never materialized at ambient size.
-    """
-    if r_joint > min(u1_hat.shape[1], u2_hat.shape[1]):
-        raise InvalidInput("r_joint exceeds a marginal rank")
-    if r_joint < 0:
-        raise InvalidInput("r_joint must be >= 0")
-    return _joint_from_bases([u1_hat, u2_hat], r_joint)
 
 
 def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
@@ -157,9 +155,9 @@ def _resolve_ranks(selections, views, ranks):
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != len(views):
         raise InvalidInput(f"expected {len(views)} ranks, got {len(ranks)}")
-    for r, y in zip(ranks, views):
+    for k, (r, y) in enumerate(zip(ranks, views)):
         if r < 0 or r > min(y.shape):
-            raise InvalidInput(f"rank {r} out of range for a {y.shape} view")
+            raise InvalidInput(f"rank {r} out of range for view {k + 1} of shape {y.shape}")
     return ranks
 
 
@@ -187,13 +185,10 @@ def decompose_multiview(views, ranks=None,
             "permutation averaging over K! orderings is refused for K >= 6")
     bootstrap = bootstrap or BootstrapConfig()
 
-    svds = [np.linalg.svd(y, full_matrices=False) for y in views]
-    selections = [_selection_from_spectrum(s, n, y.shape[1])
-                  for (_, s, _), y in zip(svds, views)]
+    selections = [select_rank(y) for y in views]
     marginal_ranks = _resolve_ranks(selections, views, ranks)
     sigma_hats = tuple(sel.sigma_hat for sel in selections)
-    truncs = [_truncation_from_svd(u, s, vt, r)
-              for (u, s, vt), r in zip(svds, marginal_ranks)]
+    truncs = [truncate(y, r) for y, r in zip(views, marginal_ranks)]
 
     best = None  # (joint rank, pair index, spectrum, epsilon estimate)
     for i, j in combinations(range(k_views), 2):
@@ -208,7 +203,7 @@ def decompose_multiview(views, ranks=None,
             best = (r_pair, (i, j), spec, est)
     r_joint, binding_pair, spectrum, eps_est = best
 
-    joint = _joint_from_bases([t.basis for t in truncs], r_joint)
+    joint = joint_basis([t.basis for t in truncs], r_joint)
     individuals = [individual_basis(t.basis, joint, r, r_joint)
                    for t, r in zip(truncs, marginal_ranks)]
     return DecompositionResult(

@@ -68,7 +68,7 @@ def _legendre(nodes: int):
     return t_nodes, t_weights
 
 
-def _edge_quadrature(a: float, b: float, x: float, denom, nodes: int) -> float:
+def edge_quadrature(a: float, b: float, x: float, denom, nodes: int) -> float:
     """Integral of sqrt((b - t)(t - a)) / denom(t) over t in [a, x], for a < x <= b.
 
     The substitution t = a + (b - a)(1 - cos u) / 2 turns the square root into
@@ -106,7 +106,7 @@ def noise_cdf(law: NoiseSpectrumLaw, lam: float, normalized: bool = True) -> flo
 
     With ``normalized=True`` the result is divided by the continuous mass so
     it forms a proper CDF of the non-atomic part (used for KS comparisons
-    against sampled spectra). Computed by :func:`_edge_quadrature` with
+    against sampled spectra). Computed by :func:`edge_quadrature` with
     ``NOISE_CDF_NODES`` nodes.
     """
     a, b = law.lambda_minus, law.lambda_plus
@@ -117,8 +117,8 @@ def noise_cdf(law: NoiseSpectrumLaw, lam: float, normalized: bool = True) -> flo
         return 0.0
     if lam >= b:
         lam = b
-    total = _edge_quadrature(a, b, lam, lambda xt: 2.0 * np.pi * xt * (1.0 - xt),
-                             NOISE_CDF_NODES)
+    total = edge_quadrature(a, b, lam, lambda xt: 2.0 * np.pi * xt * (1.0 - xt),
+                            NOISE_CDF_NODES)
     return total / mass if normalized else total
 
 

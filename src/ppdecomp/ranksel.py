@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import InvalidInput
 from .linalg import as_matrix
-from .noise import _edge_quadrature
+from .noise import edge_quadrature
 
 MP_NODES = 400
 
@@ -45,7 +45,7 @@ def _mp_support(beta: float):
 def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     """Median of the Marchenko-Pastur eigenvalue distribution, beta in (0, 1].
 
-    Found by bisecting the CDF, integrated by :func:`ppdecomp.noise._edge_quadrature`
+    Found by bisecting the CDF, integrated by :func:`ppdecomp.noise.edge_quadrature`
     with ``nodes`` nodes, to 1/2 within 1e-9.
     """
     if not 0.0 < beta <= 1.0:
@@ -54,7 +54,7 @@ def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     lo, hi = a, b
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if _edge_quadrature(a, b, mid, lambda xt: 2.0 * np.pi * beta * xt, nodes) < 0.5:
+        if edge_quadrature(a, b, mid, lambda xt: 2.0 * np.pi * beta * xt, nodes) < 0.5:
             lo = mid
         else:
             hi = mid
@@ -73,36 +73,6 @@ def mp_median_sv(n: int, p: int) -> float:
     return float(np.sqrt(max(n, p) * marchenko_pastur_median(beta)))
 
 
-def estimate_noise_sigma(singular_values, n: int, p: int) -> float:
-    """Noise standard deviation estimate median(sv) / mp_median_sv(n, p).
-
-    ``singular_values`` must be the full spectrum of the data matrix, i.e.
-    min(n, p) values.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        raise InvalidInput("empty spectrum")
-    if s.size != min(n, p):
-        raise InvalidInput(
-            f"expected the full spectrum of min(n, p) = {min(n, p)} values, got {s.size}"
-        )
-    return _selection_from_spectrum(s, n, p).sigma_hat
-
-
-def _selection_from_spectrum(s: np.ndarray, n: int, p: int) -> RankSelection:
-    beta = min(n, p) / max(n, p)
-    mp_sv = mp_median_sv(n, p)
-    y_med = float(np.median(s))
-    sigma_hat = y_med / mp_sv
-    threshold = gd_coefficient(beta) * y_med
-    # Numerical-rank floor: on noise-free data the median is 0 and the
-    # threshold with it; round-off singular values must not count.
-    floor = 1e-12 * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > max(threshold, floor)))
-    return RankSelection(rank=rank, threshold=threshold, sigma_hat=sigma_hat,
-                         beta=beta, mp_median=mp_sv)
-
-
 def select_rank(y) -> RankSelection:
     """Apply the hard-threshold rank rule to a data matrix.
 
@@ -113,7 +83,15 @@ def select_rank(y) -> RankSelection:
     y = as_matrix(y)
     n, p = y.shape
     s = np.linalg.svd(y, compute_uv=False)
-    return _selection_from_spectrum(s, n, p)
+    beta = min(n, p) / max(n, p)
+    mp_sv = mp_median_sv(n, p)
+    y_med = float(np.median(s))
+    threshold = gd_coefficient(beta) * y_med
+    # Numerical-rank floor: on noise-free data the median is 0 and the
+    # threshold with it; round-off singular values must not count.
+    rank = int(np.count_nonzero(s > max(threshold, 1e-12 * s[0])))
+    return RankSelection(rank=rank, threshold=threshold, sigma_hat=y_med / mp_sv,
+                         beta=beta, mp_median=mp_sv)
 
 
 class Truncation(NamedTuple):
@@ -122,12 +100,6 @@ class Truncation(NamedTuple):
     x_hat: np.ndarray     # best rank-r approximation in Frobenius norm
     basis: np.ndarray     # (n, r) leading left singular vectors
     values: np.ndarray    # r leading singular values, descending
-
-
-def _truncation_from_svd(u, s, vt, rank: int) -> Truncation:
-    basis = u[:, :rank]
-    values = s[:rank].copy()
-    return Truncation((basis * values) @ vt[:rank], basis, values)
 
 
 def truncate(y, rank: int) -> Truncation:

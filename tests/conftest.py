@@ -38,8 +38,7 @@ def prepared_views(cfg, ranks=None):
     if ranks is None:
         ranks = cfg.marginal_ranks
     truncs = [ppd.truncate(y, r) for y, r in zip(views, ranks)]
-    sigmas = [ppd.estimate_noise_sigma(np.linalg.svd(y, compute_uv=False), *y.shape)
-              for y in views]
+    sigmas = [ppd.select_rank(y).sigma_hat for y in views]
     return views, truth, truncs, sigmas
 
 

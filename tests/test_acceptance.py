@@ -126,7 +126,7 @@ def test_criterion_4_estimation_error_domination():
     violated = 0
     for seed in range(200):
         cfg, truth, truncs, _, _ = _theorem_instance(seed)
-        j_hat = joint_basis(truncs[0].basis, truncs[1].basis, cfg.joint_rank)
+        j_hat = joint_basis([t.basis for t in truncs], cfg.joint_rank)
         ind_hats = [individual_basis(truncs[k].basis, j_hat,
                                      cfg.marginal_ranks[k], cfg.joint_rank)
                     for k in range(2)]
@@ -222,7 +222,7 @@ def test_criterion_8_brute_force_equivalence():
         spec = principal_spectrum(hats[0], hats[1])
         worst = max(worst, float(np.max(np.abs(
             spec - bf_principal_spectrum(hats[0], hats[1])))))
-        j_hat = joint_basis(hats[0], hats[1], 2)
+        j_hat = joint_basis(hats, 2)
         ind_hats = [individual_basis(hats[k], j_hat, 4, 2) for k in range(2)]
         rep = theorem2_bounds(joint, inds, hats, j_hat, ind_hats)
         bf_joint, bf_inds, _ = bf_theorem2(joint, inds, hats, j_hat)

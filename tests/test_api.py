@@ -19,7 +19,7 @@ PUBLIC = [
     "Theorem2Report", "Truncation", "TruthOracle", "build_report",
     "continuous_mass", "decompose", "decompose_multiview",
     "decomposition_f_score", "density_sv_scale", "epsilon_pair",
-    "estimate_epsilon1", "estimate_noise_sigma", "export_json",
+    "estimate_epsilon1", "export_json",
     "gd_coefficient", "generate", "haar_basis", "individual_basis",
     "joint_basis", "joint_rank", "marchenko_pastur_median",
     "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",
@@ -34,7 +34,7 @@ PUBLIC = [
 
 def test_all_lists_exactly_the_public_names():
     assert sorted(ppd.__all__) == sorted(PUBLIC)
-    assert len(set(ppd.__all__)) == len(PUBLIC) == 59
+    assert len(set(ppd.__all__)) == len(PUBLIC) == 58
     for name in PUBLIC:
         assert hasattr(ppd, name), name
 

@@ -285,7 +285,15 @@ def _sim_config(tmp_path, text):
     return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]
 
 
+def _ranked_views(tmp_path, ranks_flag):
+    p1, p2 = write_noiseless_views(tmp_path)
+    return ["decompose", "--view", str(p1), "--view", str(p2), *ranks_flag,
+            "--out", str(tmp_path / "r.json")]
+
+
 HOSTILE = {
+    "decompose-rank-exceeds-view": lambda t: _ranked_views(t, ["--ranks", "99,2"]),
+    "decompose-negative-rank": lambda t: _ranked_views(t, ["--ranks=-1,2"]),
     "result-non-numeric-scalar": lambda t: _edited_result(
         t, lambda d: d.update(epsilon1_hat="abc")),
     "result-ragged-columns": lambda t: _edited_result(

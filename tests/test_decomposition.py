@@ -1,7 +1,10 @@
 import math
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ppdecomp as ppd
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, DimensionMismatch,
@@ -39,6 +42,16 @@ def bf_epsilons_delta_form(u1, u2, u1_hat, u2_hat):
 def bf_principal_spectrum(u1, u2):
     s = np.linalg.svd(projector(u1) @ projector(u2), compute_uv=False)
     return s[: min(u1.shape[1], u2.shape[1])]
+
+
+def bf_joint_projector(bases, r_joint):
+    """Projector onto the top eigenvectors of the n x n permutation-averaged product."""
+    projs = [projector(u) for u in bases]
+    t = sum(reduce(np.matmul, [projs[i] for i in perm])
+            for perm in permutations(range(len(projs))))
+    evals, evecs = np.linalg.eigh(t / math.factorial(len(projs)))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    return projector(evecs[:, :r_joint]), evals[r_joint - 1] - evals[r_joint]
 
 
 def bf_theorem2(joint_t, inds_t, view_hats, joint_hat):
@@ -103,19 +116,19 @@ def test_joint_rank_counts_strictly_above_both_thresholds():
 
 def test_joint_basis_identical_views_spans_them():
     u = qr_basis(15, 4, np.random.default_rng(2))
-    j = joint_basis(u, u, 4)
+    j = joint_basis([u, u], 4)
     assert subspace_distance(j, u) <= 1e-8
 
 
 def test_joint_basis_rank_zero_is_empty():
     u = qr_basis(15, 4, np.random.default_rng(3))
-    assert joint_basis(u, u, 0).shape == (15, 0)
+    assert joint_basis([u, u], 0).shape == (15, 0)
 
 
 def test_joint_basis_rejects_excessive_rank():
     u = qr_basis(15, 4, np.random.default_rng(4))
     with pytest.raises(InvalidInput):
-        joint_basis(u, u, 5)
+        joint_basis([u, u], 5)
 
 
 def test_joint_basis_recovers_planted_joint_noiseless():
@@ -124,8 +137,31 @@ def test_joint_basis_recovers_planted_joint_noiseless():
     joint, i1, i2 = q[:, :2], q[:, 2:5], q[:, 5:8]
     u1 = np.hstack([joint, i1])
     u2 = np.hstack([joint, i2])
-    j = joint_basis(u1, u2, 2)
+    j = joint_basis([u1, u2], 2)
     assert subspace_distance(j, joint) <= 1e-8
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(k_views=st.sampled_from([2, 3]), n=st.integers(8, 20),
+       r_joint=st.integers(1, 3), noise=st.floats(0.0, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_joint_basis_matches_brute_force_projectors(k_views, n, r_joint, noise, seed):
+    # Planted joint directions plus one or two individual ones per view, each
+    # view basis perturbed and re-orthonormalized.
+    rng = np.random.default_rng(seed)
+    r_ind = [int(rng.integers(1, 3)) for _ in range(k_views)]
+    assume(r_joint + sum(r_ind) <= n)
+    q = qr_basis(n, r_joint + sum(r_ind), rng)
+    bases, col = [], r_joint
+    for r in r_ind:
+        x = np.hstack([q[:, :r_joint], q[:, col:col + r]])
+        col += r
+        bases.append(np.linalg.qr(x + noise * rng.standard_normal(x.shape))[0])
+    want, gap = bf_joint_projector(bases, r_joint)
+    assume(gap >= 1e-3)
+    got = joint_basis(bases, r_joint)
+    assert got.shape == (n, r_joint)
+    assert np.max(np.abs(projector(got) - want)) <= 1e-10
 
 
 def test_individual_basis_with_empty_joint_spans_view():
@@ -215,7 +251,7 @@ def test_truth_oracle_orthogonal_individuals():
 @pytest.mark.parametrize("seed", range(10))
 def test_theorem2_matches_brute_force(seed):
     joint, inds, hats = small_instance(seed)
-    j_hat = joint_basis(hats[0], hats[1], 2)
+    j_hat = joint_basis(hats, 2)
     ind_hats = [individual_basis(hats[k], j_hat, 4, 2) for k in range(2)]
     rep = theorem2_bounds(joint, inds, hats, j_hat, ind_hats)
     want_joint, want_inds, want_tau = bf_theorem2(joint, inds, hats, j_hat)
@@ -306,6 +342,14 @@ def test_decompose_result_invariants():
 def test_decompose_row_count_mismatch():
     with pytest.raises(DimensionMismatch):
         decompose(np.ones((10, 4)), np.ones((9, 4)))
+
+
+@pytest.mark.parametrize("ranks,view", [((99, 2), "view 1"), ((2, -1), "view 2")])
+def test_decompose_explicit_rank_out_of_range_names_the_view(ranks, view):
+    rng = np.random.default_rng(22)
+    with pytest.raises(InvalidInput, match=f"out of range for {view} "):
+        decompose(rng.standard_normal((10, 20)), rng.standard_normal((10, 22)),
+                  ranks=ranks, bootstrap=LIGHT_BOOT)
 
 
 def test_decompose_infeasible_ranks_error():

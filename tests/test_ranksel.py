@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ppdecomp import (InvalidInput, SimConfig, estimate_noise_sigma, generate,
-                      gd_coefficient, marchenko_pastur_median, mp_median_sv,
-                      select_rank, truncate)
+from ppdecomp import (InvalidInput, SimConfig, generate, gd_coefficient,
+                      marchenko_pastur_median, mp_median_sv, select_rank,
+                      truncate)
 from conftest import projector, qr_basis
 
 
@@ -44,10 +44,9 @@ def test_mp_median_quadrature_resolution_consistency():
 
 
 def test_estimate_noise_sigma_scale_equivariance():
-    rng = np.random.default_rng(0)
-    s = np.sort(rng.uniform(0.1, 3.0, size=40))[::-1]
-    base = estimate_noise_sigma(s, 40, 90)
-    assert estimate_noise_sigma(2.5 * s, 40, 90) == pytest.approx(2.5 * base, rel=1e-12)
+    y = np.random.default_rng(0).standard_normal((40, 90))
+    base = select_rank(y).sigma_hat
+    assert select_rank(2.5 * y).sigma_hat == pytest.approx(2.5 * base, rel=1e-12)
 
 
 def test_estimate_noise_sigma_pure_noise_monte_carlo():
@@ -56,7 +55,7 @@ def test_estimate_noise_sigma_pure_noise_monte_carlo():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         y = s_true * rng.standard_normal((n, p))
-        sigma = estimate_noise_sigma(np.linalg.svd(y, compute_uv=False), n, p)
+        sigma = select_rank(y).sigma_hat
         hits += 1.9 <= sigma <= 2.1
     assert hits >= 95
 
@@ -69,14 +68,14 @@ def test_estimate_noise_sigma_with_planted_signal():
         cfg = SimConfig(n=50, dims=(80, 80), joint_rank=1, individual_ranks=(1, 1),
                         angle_deg=90.0, snr=2.0, seed=seed)
         views, truth = generate(cfg)
-        sigma = estimate_noise_sigma(np.linalg.svd(views[0], compute_uv=False), 50, 80)
+        sigma = select_rank(views[0]).sigma_hat
         hits += abs(sigma - truth.noise_sigmas[0]) <= 0.1 * truth.noise_sigmas[0]
     assert hits >= 45
 
 
 def test_estimate_noise_sigma_rejects_empty():
     with pytest.raises(InvalidInput):
-        estimate_noise_sigma(np.zeros(0), 5, 5)
+        select_rank(np.zeros((0, 5)))
 
 
 def test_gd_coefficient_at_beta_one():
