@@ -3,9 +3,19 @@
 Each replicate draws a fresh pair of left bases from the Haar measure,
 re-orients the second so that its principal cosines against the first
 reproduce the observed product spectrum, rebuilds noisy data around the
-replicated signals, re-estimates the subspaces by truncated SVD, and records
+replicated signals, re-estimates the subspaces with ``truncate``, and records
 the realized perturbation. The mean over replicates estimates epsilon_1,
 the maximal downward shift of the joint singular values.
+
+A replicate y = U S V^T + e of an n x p view is never formed. Once per pair,
+the noise is factored as e^T = Q R (Q of size p x m, m = min(n, p)); the
+replicate is then handed to ``truncate`` as
+
+    z = [U S (Q^T V)^T + R^T,  U S C^(1/2)],   C = I - (Q^T V)^T (Q^T V),
+
+which has z z^T = y y^T and so the same leading left subspace. The second
+block carries the part of V outside the noise's row space; it is empty
+unless p > n. A wide replicate thus shrinks from n x p to n x (n + r).
 
 The replicated signal strengths are the observed singular values debiased
 under the spiked noise model: an observed value y of an n x p view with noise
@@ -102,20 +112,44 @@ def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
 def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
     """Adjusted noise estimate: the truncation residual plus imputed noise.
 
-    The residual ``y - trunc.x_hat`` carries no energy along the estimated
-    left signal directions ``trunc.basis``; an independent Gaussian draw from
-    ``rng`` at level ``sigma_hat``, placed along those directions, puts it
-    back. The residual's orthogonal complement is untouched.
+    The residual ``y - B (B^T y)``, with ``B = trunc.basis``, carries no
+    energy along the estimated left signal directions ``B``; an independent
+    Gaussian draw from ``rng`` at level ``sigma_hat``, placed along those
+    directions, puts it back. The residual's orthogonal complement is
+    untouched.
     """
-    e = y - trunc.x_hat
     if sigma_hat < 0:
         raise InvalidInput("sigma_hat must be >= 0")
-    r = trunc.basis.shape[1]
+    basis = trunc.basis
+    e = y - basis @ (basis.T @ y)
+    r = basis.shape[1]
     if sigma_hat == 0.0 or r == 0:
         return e
     # Restore the noise energy removed with the truncated signal directions.
     g = sigma_hat * rng.standard_normal((r, y.shape[1]))
-    return e + trunc.basis @ g
+    return e + basis @ g
+
+
+def _row_frame(e):
+    """(q, rt) with orthonormal q of size (p, m), m = min(n, p), and e = rt q^T."""
+    q, r = np.linalg.qr(e.T)
+    return q, r.T
+
+
+def _frame_replicate(us, v, q, rt) -> np.ndarray:
+    """Stand-in z with z z^T = y y^T for the replicate y = us v^T + rt q^T.
+
+    ``v`` is (p, r) orthonormal. Its part inside col(q) folds into the
+    noise's coordinates; its part outside, of Gram C = I - a^T a with
+    a = q^T v, is carried by the extra block ``us C^(1/2)``.
+    """
+    a = q.T @ v
+    z = us @ a.T + rt
+    if q.shape[0] == q.shape[1]:  # p <= n: q is square, v lies inside col(q)
+        return z
+    lam, w = np.linalg.eigh(np.eye(a.shape[1]) - a.T @ a)
+    root = (w * np.sqrt(np.maximum(lam, 0.0))) @ w.T
+    return np.hstack([z, us @ root])
 
 
 def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np.ndarray:
@@ -145,9 +179,18 @@ def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np
 
 
 def _canonical_order(y1, trunc1, sigma1, y2, trunc2, sigma2):
-    """Deterministic, caller-order-independent ordering of the two views."""
+    """Deterministic ordering of the two views, independent of caller order and view scale.
+
+    Views are ordered by width, rank, and retained spectrum relative to its
+    leading value, rounded to 8 decimals so that the round-off of rescaling a
+    view cannot reorder them. Only views that tie on all three, such as a
+    view and a multiple of it, fall back to their bytes.
+    """
     def key(y, trunc):
-        return (y.shape[1], trunc.basis.shape[1], hashlib.sha256(np.ascontiguousarray(y).tobytes()).digest())
+        v = trunc.values
+        shape = np.round(v / v[0], 8) if v.size and v[0] > 0 else v
+        return (y.shape[1], v.size, tuple(shape),
+                hashlib.sha256(np.ascontiguousarray(y).tobytes()).digest())
     if key(y2, trunc2) < key(y1, trunc1):
         return (y2, trunc2, sigma2, y1, trunc1, sigma1)
     return (y1, trunc1, sigma1, y2, trunc2, sigma2)
@@ -186,8 +229,11 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
     k1 = int(np.count_nonzero(s1))
     k2 = int(np.count_nonzero(s2))
-    e1 = _noise_replicate_rng(y1, trunc1, sigma1, derive_rng(cfg.seed, STREAM_NOISE, 0))
-    e2 = _noise_replicate_rng(y2, trunc2, sigma2, derive_rng(cfg.seed, STREAM_NOISE, 1))
+    # The QR consumes each noise matrix; only its row frame is kept.
+    q1, rt1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
+                                              derive_rng(cfg.seed, STREAM_NOISE, 0)))
+    q2, rt2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
+                                              derive_rng(cfg.seed, STREAM_NOISE, 1)))
 
     vals = np.zeros(b_reps)
     for b in range(b_reps):
@@ -197,10 +243,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
             u2b = rotate_align(u1b, u2b, sigma_m)
         v1b = haar_basis(y1.shape[1], r1, rng)
         v2b = haar_basis(y2.shape[1], r2, rng)
-        y1b = (u1b * s1) @ v1b.T + e1
-        y2b = (u2b * s2) @ v2b.T + e2
-        u1b_hat = truncate(y1b, r1).basis
-        u2b_hat = truncate(y2b, r2).basis
+        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, q1, rt1), r1).basis
+        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, q2, rt2), r2).basis
         vals[b] = min(epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)[0], 1.0)
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,

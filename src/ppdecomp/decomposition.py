@@ -3,8 +3,10 @@
 Pipeline for two views Y1, Y2 sharing their n rows:
 
 1. pick each view's marginal rank and noise level by the hard-threshold rule
-   (``select_rank``) and estimate its signal at that rank by ``truncate``, the
-   routine that also re-truncates every bootstrap replicate;
+   (``select_rank``) and estimate its signal subspace and singular values at
+   that rank by ``truncate``, the routine that also re-truncates every
+   bootstrap replicate (there from a smaller matrix with the replicate's
+   ``y y^T``);
 2. bootstrap the perturbation bound epsilon_1 of the top spectral cluster;
 3. bound random-alignment singular values analytically by sqrt(lambda_plus)
    with rank-to-dimension ratios q_k = rank_k / n;

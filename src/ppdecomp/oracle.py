@@ -8,8 +8,8 @@ product M_hat = P_hat1 P_hat2 against the true product M = P1 P2 are
 
 Written as operator differences these are insensitive to the sign convention
 chosen for the individual perturbations P_k - P_hat_k, and they are exactly
-the quantities for which the cluster-interval bounds hold. All evaluations
-happen in an orthonormal basis of the joint span of the input bases.
+the quantities for which the cluster-interval bounds hold. They are evaluated
+on cross-Grams of the input bases; no n x n projector is formed.
 
 Given planted subspaces, the module also builds the three cluster intervals
 and evaluates the estimation-error bounds used to check the guarantees on
@@ -33,17 +33,25 @@ def epsilon_pair(u1, u2, u1_hat, u2_hat) -> tuple[float, float]:
 
     epsilon_1 bounds how far the joint singular values of the estimated
     product can fall below 1; epsilon_2 bounds how far noise singular values
-    can rise above 0. Both are evaluated exactly through reduced Gram
-    computations (the operators live inside the span of the four bases).
+    can rise above 0. Both are evaluated exactly on cross-Grams of the bases,
+    without a basis of their joint span:
+
+        epsilon_1 = || (u1^T u1_hat)(u1_hat^T u2_hat)(u2_hat^T u2) - u1^T u2 ||_2,
+        epsilon_2 = || R_L diag(u1_hat^T u2_hat, -u1^T u2) R_R^T ||_2,
+
+    with R_L, R_R the R factors of the Householder QR of [u1_hat, u1] and
+    [u2_hat, u2]. Their Q factors have orthonormal columns spanning at least
+    the column spaces, even when a stack is rank-deficient (u_hat = u), so
+    they drop out of the norm.
     """
-    _, (c1, c2, d1, d2) = reduced_coords(u1, u2, u1_hat, u2_hat)
-    if c1.shape[0] == 0:
-        return 0.0, 0.0
-    p1 = c1 @ c1.T
-    p2 = c2 @ c2.T
-    r = (d1 @ d1.T) @ (d2 @ d2.T) - p1 @ p2
-    eps2 = spectral_norm(r)
-    eps1 = spectral_norm(p1 @ r @ p2)
+    g_hat = u1_hat.T @ u2_hat
+    g = u1.T @ u2
+    eps1 = spectral_norm((u1.T @ u1_hat) @ g_hat @ (u2_hat.T @ u2) - g)
+    r_left = np.linalg.qr(np.hstack([u1_hat, u1]), mode="r")
+    r_right = np.linalg.qr(np.hstack([u2_hat, u2]), mode="r")
+    r1, r2 = g_hat.shape
+    eps2 = spectral_norm(r_left[:, :r1] @ g_hat @ r_right[:, :r2].T
+                         - r_left[:, r1:] @ g @ r_right[:, r2:].T)
     return eps1, eps2
 
 

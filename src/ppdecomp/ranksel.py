@@ -95,30 +95,33 @@ def select_rank(y) -> RankSelection:
 
 
 class Truncation(NamedTuple):
-    """Rank-r truncated SVD of a data matrix."""
+    """Leading left singular subspace and values of a data matrix at rank r."""
 
-    x_hat: np.ndarray     # best rank-r approximation in Frobenius norm
     basis: np.ndarray     # (n, r) leading left singular vectors
     values: np.ndarray    # r leading singular values, descending
 
 
 def truncate(y, rank: int) -> Truncation:
-    """Best rank-``rank`` approximation of ``y`` (Eckart-Young), from its smaller Gram matrix.
+    """Leading rank-``rank`` left singular vectors and values of ``y``, from its smaller Gram matrix.
 
     With ``z = y / max|y|``, which cannot overflow when squared, ``basis`` holds
     the leading eigenvectors of ``z z^T`` if n <= p, else a sign-fixed QR of
     ``z V_r`` with ``V_r`` those of ``z^T z``; accuracy degrades with
     s_1 / (s_r + s_{r+1}) (Halko, Martinsson and Tropp, 2011). ``values`` are the
-    row norms of ``w = basis^T y``, and ``x_hat = basis w``: square roots of the
-    Gram eigenvalues would leave the surplus values of a rank-deficient ``y``
-    near 1e-8 s_1, above the 1e-12 s_1 floor of the rank rule.
+    row norms of ``basis^T y``: square roots of the Gram eigenvalues would
+    leave the surplus values of a rank-deficient ``y`` near 1e-8 s_1, above the
+    1e-12 s_1 floor of the rank rule. The best rank-``rank`` approximation of
+    ``y`` in Frobenius norm (Eckart-Young) is ``basis @ (basis.T @ y)``; it is
+    not formed here. In exact arithmetic the result depends on ``y`` only
+    through ``y y^T`` (up to column signs), so any matrix with the same
+    ``y y^T`` may stand in for ``y``.
     """
     y = as_matrix(y)
     n, p = y.shape
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
     if rank == 0:
-        return Truncation(np.zeros_like(y), np.zeros((n, 0)), np.zeros(0))
+        return Truncation(np.zeros((n, 0)), np.zeros(0))
     scale = np.max(np.abs(y)) or 1.0
     z = y / scale
     # Leading eigenvectors first: the QR must orthogonalize round-off columns
@@ -127,8 +130,6 @@ def truncate(y, rank: int) -> Truncation:
     if n > p:
         q, rr = np.linalg.qr(z @ basis)
         basis = q * np.copysign(1.0, np.diag(rr))
-    w = basis.T @ z
-    values = np.linalg.norm(w, axis=1)
+    values = np.linalg.norm(basis.T @ z, axis=1)
     order = np.argsort(-values, kind="stable")
-    basis = basis[:, order]
-    return Truncation(basis @ (scale * w[order]), basis, scale * values[order])
+    return Truncation(basis[:, order], scale * values[order])

@@ -8,8 +8,9 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       generate, misspecify_ranks, principal_spectrum,
                       rotate_align, truncate)
 import ppdecomp.bootstrap
-from ppdecomp.bootstrap import _haar_pair_rng, _noise_replicate_rng
-from conftest import prepared_views
+from ppdecomp.bootstrap import (_frame_replicate, _haar_pair_rng, _noise_replicate_rng,
+                                _row_frame)
+from conftest import prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
                 angle_deg=90.0)
@@ -76,7 +77,7 @@ def test_noise_replicate_zero_sigma_is_residual():
     y = rng.standard_normal((12, 9))
     trunc = truncate(y, 3)
     e = _noise_replicate_rng(y, trunc, 0.0, np.random.default_rng(0))
-    assert np.allclose(e, y - trunc.x_hat, atol=1e-12)
+    assert np.allclose(e, y - trunc.basis @ (trunc.basis.T @ y), atol=1e-12)
 
 
 def test_noise_replicate_restores_noise_energy():
@@ -90,6 +91,25 @@ def test_noise_replicate_restores_noise_energy():
         e = _noise_replicate_rng(z, trunc, s, np.random.default_rng(seed + 1))
         ratios.append(np.linalg.norm(e, "fro") / np.linalg.norm(z, "fro"))
     assert abs(np.mean(ratios) - 1.0) <= 0.1
+
+
+@pytest.mark.parametrize("n,p,noise", [(20, 40, 1.0), (20, 23, 1.0), (20, 20, 1.0),
+                                       (20, 12, 1.0), (20, 40, 0.0), (20, 12, 0.0)],
+                         ids=["wide", "barely-wide", "square", "tall", "wide-e0", "tall-e0"])
+def test_frame_replicate_has_the_replicate_gram(n, p, noise):
+    # p >= n + r, n < p < n + r, p = n, p < n, and noise-free data. The
+    # stand-in must reproduce y y^T and hence the truncation of y itself.
+    r = 5
+    rng = np.random.default_rng(n + p)
+    e = noise * rng.standard_normal((n, p))
+    us = qr_basis(n, r, rng) * np.linspace(30.0, 10.0, r)
+    v = qr_basis(p, r, rng)
+    y = us @ v.T + e
+    z = _frame_replicate(us, v, *_row_frame(e))
+    assert z.shape == (n, n + r if p > n else p)
+    assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
+    assert np.max(np.abs(projector(truncate(z, r).basis)
+                         - projector(truncate(y, r).basis))) <= 1e-10
 
 
 def _over_ranks(cfg):

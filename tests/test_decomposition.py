@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ppdecomp as ppd
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, DimensionMismatch,
@@ -220,6 +220,47 @@ def test_epsilons_match_brute_force(seed):
     assert np.allclose(spec, bf_principal_spectrum(hats[0], hats[1]), atol=1e-10)
 
 
+def _epsilon_bases(n, dims, case, rng):
+    """Bases (u1, u2, u1_hat, u2_hat) of the given ranks for the property test below.
+
+    "independent": four Haar frames; "exact": the estimates equal the truths;
+    "shared": column subsets of one orthogonal frame, so that bases share
+    columns and stacks are rank-deficient; "perturbed": estimates are noisy
+    copies of the truths, padded with fresh columns.
+    """
+    if case == "exact":
+        u1, u2 = (qr_basis(n, k, rng) for k in dims[:2])
+        return u1, u2, u1, u2
+    if case == "shared":
+        q = qr_basis(n, n, rng)
+        return tuple(q[:, np.sort(rng.choice(n, k, replace=False))] for k in dims)
+    u1, u2 = (qr_basis(n, k, rng) for k in dims[:2])
+    if case == "independent":
+        return u1, u2, qr_basis(n, dims[2], rng), qr_basis(n, dims[3], rng)
+    hats = []
+    for u, r in ((u1, dims[2]), (u2, dims[3])):
+        x = np.hstack([u, rng.standard_normal((n, n))])[:, :r]
+        hats.append(np.linalg.qr(x + 0.3 * rng.standard_normal(x.shape))[0])
+    return (u1, u2, *hats)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(6, 20), fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       case=st.sampled_from(["independent", "exact", "shared", "perturbed"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=8, fracs=[0.0, 0.5, 0.5, 0.5], case="independent", seed=1)   # k1 = 0
+@example(n=8, fracs=[0.5, 0.5, 0.5, 0.5], case="exact", seed=2)         # u_hat = u
+@example(n=8, fracs=[0.75, 0.5, 0.75, 0.5], case="perturbed", seed=3)  # r1 + k1 > n
+@example(n=8, fracs=[0.75, 0.75, 0.75, 0.75], case="shared", seed=4)
+def test_epsilon_pair_matches_brute_force_projectors(n, fracs, case, seed):
+    dims = [int(round(f * n)) for f in fracs]
+    bases = _epsilon_bases(n, dims, case, np.random.default_rng(seed))
+    got = epsilon_pair(*bases)
+    want = bf_epsilons(*bases)
+    assert got[0] == pytest.approx(want[0], abs=1e-10)
+    assert got[1] == pytest.approx(want[1], abs=1e-10)
+
+
 def test_theorem1_intervals_noiseless_collapse():
     rng = np.random.default_rng(12)
     i1, i2 = angled_pair(16, 3, 3, 40.0, rng)
@@ -321,6 +362,51 @@ def test_decompose_order_invariance():
     assert fwd.joint_rank == rev.joint_rank
     assert fwd.epsilon1_hat == rev.epsilon1_hat
     assert subspace_distance(fwd.joint, rev.joint) <= 1e-8
+
+
+VIEW_DRAWS = dict(n=st.integers(20, 40), p1=st.integers(12, 60), p2=st.integers(12, 60),
+                  ind=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  angle=st.sampled_from([30.0, 60.0, 90.0]),
+                  snr=st.sampled_from([0.5, 2.0, math.inf]), seed=st.integers(0, 2**32 - 1))
+
+
+def _property_views(n, p1, p2, ind, angle, snr, seed):
+    cfg = ppd.SimConfig(n=n, dims=(p1, p2), joint_rank=2,
+                        individual_ranks=sorted(ind, reverse=True),
+                        angle_deg=angle, snr=snr, seed=seed)
+    return ppd.generate(cfg)[0]
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(**VIEW_DRAWS)
+def test_decompose_view_swap_property(n, p1, p2, ind, angle, snr, seed):
+    views = _property_views(n, p1, p2, ind, angle, snr, seed)
+    boot = BootstrapConfig(replicates=10, seed=seed % 1000)
+    fwd = decompose(views[0], views[1], bootstrap=boot)
+    rev = decompose(views[1], views[0], bootstrap=boot)
+    assert rev.marginal_ranks == fwd.marginal_ranks[::-1]
+    assert rev.joint_rank == fwd.joint_rank
+    assert rev.epsilon1_hat == fwd.epsilon1_hat
+    assert np.allclose(rev.spectrum.values, fwd.spectrum.values, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(projector(rev.joint) - projector(fwd.joint)), initial=0.0) <= 1e-8
+    for k in range(2):
+        assert np.max(np.abs(projector(rev.individuals[1 - k]) - projector(fwd.individuals[k])),
+                      initial=0.0) <= 1e-8
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(**VIEW_DRAWS, exponent=st.floats(-6.0, 6.0), which=st.sampled_from([0, 1]))
+# Equal widths and ranks: the bootstrap's view order must not follow the scale.
+@example(n=20, p1=12, p2=12, ind=(1, 1), angle=30.0, snr=2.0, seed=1, exponent=2.0, which=0)
+def test_decompose_view_scale_property(n, p1, p2, ind, angle, snr, seed, exponent, which):
+    views = _property_views(n, p1, p2, ind, angle, snr, seed)
+    boot = BootstrapConfig(replicates=10, seed=seed % 1000)
+    base = decompose(views[0], views[1], bootstrap=boot)
+    views[which] = views[which] * 10.0**exponent
+    scaled = decompose(views[0], views[1], bootstrap=boot)
+    assert scaled.marginal_ranks == base.marginal_ranks
+    assert scaled.joint_rank == base.joint_rank
+    assert scaled.epsilon1_hat == pytest.approx(base.epsilon1_hat, rel=1e-12, abs=1e-15)
 
 
 def test_decompose_result_invariants():

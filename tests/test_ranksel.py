@@ -125,20 +125,22 @@ def test_select_rank_threshold_scales_linearly():
 def test_truncate_full_rank_reproduces_input():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((8, 5))
-    trunc = truncate(y, 5)
-    assert np.max(np.abs(trunc.x_hat - y)) <= 1e-8
+    basis = truncate(y, 5).basis
+    assert np.max(np.abs(basis @ (basis.T @ y) - y)) <= 1e-8
 
 
 def test_truncate_rank_zero():
-    trunc = truncate(np.ones((4, 6)), 0)
-    assert np.all(trunc.x_hat == 0.0)
+    y = np.ones((4, 6))
+    trunc = truncate(y, 0)
+    assert np.all(trunc.basis @ (trunc.basis.T @ y) == 0.0)
     assert trunc.basis.shape == (4, 0)
     assert trunc.values.size == 0
 
 
 def test_truncate_diagonal():
-    trunc = truncate(np.diag([3.0, 1.0]), 1)
-    assert np.allclose(trunc.x_hat, np.diag([3.0, 0.0]))
+    y = np.diag([3.0, 1.0])
+    basis = truncate(y, 1).basis
+    assert np.allclose(basis @ (basis.T @ y), np.diag([3.0, 0.0]))
 
 
 def test_truncate_is_frobenius_optimal():
@@ -146,7 +148,8 @@ def test_truncate_is_frobenius_optimal():
     y = rng.standard_normal((20, 14))
     s = np.linalg.svd(y, compute_uv=False)
     for r in (0, 3, 9):
-        err = np.linalg.norm(y - truncate(y, r).x_hat, "fro")
+        basis = truncate(y, r).basis
+        err = np.linalg.norm(y - basis @ (basis.T @ y), "fro")
         assert err == pytest.approx(math.sqrt(np.sum(s[r:] ** 2)), abs=1e-8)
 
 
