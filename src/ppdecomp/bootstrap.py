@@ -17,6 +17,16 @@ which has z z^T = y y^T and so the same leading left subspace. The second
 block carries the part of V outside the noise's row space; it is empty
 unless p > n. A wide replicate thus shrinks from n x p to n x (n + r).
 
+Because e is fixed for the pair, so is a bound on the replicate's tail: with
+at most r nonzero signal strengths, s_{r+1}(U S V^T + e) <= |e|_2 = |R|_2
+(Weyl), and z has the same singular values. ``truncate`` is handed this
+bound and then takes its basis from a certified Chebyshev-filtered
+eigensolver instead of a full ``eigh``. The bound is passed only where the
+certificate can be met: every retained column carries signal, |e|_2 is
+above the rank rule's round-off floor 1e-12 s_1, and the smallest retained
+value exceeds 1.5 |e|_2. Elsewhere the filter would fall back to ``eigh``
+after wasted passes, so it is not tried.
+
 The replicated signal strengths are the observed singular values debiased
 under the spiked noise model: an observed value y of an n x p view with noise
 level sigma comes from a spike of strength s with
@@ -152,6 +162,25 @@ def _frame_replicate(us, v, q, rt) -> np.ndarray:
     return np.hstack([z, us @ root])
 
 
+def _tail_bound(trunc: Truncation, k: int, rt):
+    """|rt|_2, the bound handed to ``truncate`` for a view's replicates, or None.
+
+    ``rt`` holds the coordinates of the pair's noise e in its row frame, so
+    |rt|_2 = |e|_2. A replicate U S V^T + e whose signal has k <= r nonzero
+    strengths has s_{r+1} <= |e|_2 (Weyl), so the bound is always valid; it
+    is passed only where the filtered eigensolver can certify: every retained
+    column is signal (k == r), the noise is above the rank rule's round-off
+    floor 1e-12 s_1, and the smallest retained value clears it by half again.
+    """
+    values = trunc.values
+    if k < values.size:
+        return None
+    noise_norm = float(np.linalg.norm(rt, 2))
+    if 1e-12 * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
+        return noise_norm
+    return None
+
+
 def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np.ndarray:
     """Debiased spike strengths of the retained singular values, 0 at or below the edge.
 
@@ -234,6 +263,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
                                               derive_rng(cfg.seed, STREAM_NOISE, 0)))
     q2, rt2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
                                               derive_rng(cfg.seed, STREAM_NOISE, 1)))
+    bound1 = _tail_bound(trunc1, k1, rt1)
+    bound2 = _tail_bound(trunc2, k2, rt2)
 
     vals = np.zeros(b_reps)
     for b in range(b_reps):
@@ -243,8 +274,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
             u2b = rotate_align(u1b, u2b, sigma_m)
         v1b = haar_basis(y1.shape[1], r1, rng)
         v2b = haar_basis(y2.shape[1], r2, rng)
-        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, q1, rt1), r1).basis
-        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, q2, rt2), r2).basis
+        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, q1, rt1), r1, bound1).basis
+        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, q2, rt2), r2, bound2).basis
         vals[b] = min(epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)[0], 1.0)
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,

@@ -10,6 +10,7 @@ singular value of a unit-variance pure-noise matrix of the same shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,25 @@ from .linalg import as_matrix
 from .noise import edge_quadrature
 
 MP_NODES = 400
+
+# The certified top-r eigensolver of ``truncate`` (see ``_filtered_top``),
+# set on bootstrap replicates of 167 x (1572, 375) views at ranks 16,16, of
+# 300 x (90, 120, 150) views and of the Table-1 cells, one BLAS thread.
+# Filter degree: at 8 every replicate certified in two passes, and a
+# 167 x 167 Gram took 0.8 ms against 3.4 ms for ``eigh``; degree 6 took
+# 0.8 ms but needed a third pass on 1 % of replicates, degree 4 failed on
+# 1-4 %, and degree 10 took 1.1 ms.
+FILTER_DEGREE = 8
+# Passes before falling back to ``eigh``: one more than the two that every
+# measured replicate needed; more passes only delay the fallback.
+FILTER_PASSES = 3
+# Certified bound on the sine of the largest angle between the returned and
+# the true leading eigenspace; on a seeded snapshot of 90 decompositions it
+# moved the bootstrap's epsilon_1 by at most 1.4e-15 relative.
+FILTER_TOL = 1e-12
+# The filter's gain at the top of the spectrum is kept below 10^this, so no
+# damped component of a filtered block leaves the floating-point range.
+FILTER_GAIN_DIGITS = 150
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,60 @@ class Truncation(NamedTuple):
     values: np.ndarray    # r leading singular values, descending
 
 
-def truncate(y, rank: int) -> Truncation:
+def _chebyshev(g, x, degree: int, b: float, top: float) -> np.ndarray:
+    """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1.
+
+    T_degree is the Chebyshev polynomial, so |p| <= 1 / T_degree(l(top)) on
+    [0, b] and p grows fast above b, up to p(top) = 1. The three-term
+    recurrence carries the scaling of Zhou and Saad (2007, J. Comput. Phys.
+    219), which keeps every iterate within the magnitude of ``x``.
+    """
+    c = e = 0.5 * b
+    sigma1 = e / (top - c)
+    sigma = sigma1
+    y = (g @ x - c * x) * (sigma1 / e)
+    for _ in range(degree - 1):
+        sigma_next = 1.0 / (2.0 / sigma1 - sigma)
+        y, x = (g @ y - c * y) * (2.0 * sigma_next / e) - (sigma * sigma_next) * x, y
+        sigma = sigma_next
+    return y
+
+
+def _filtered_top(g, rank: int, b: float):
+    """Certified leading ``rank`` eigenvectors of the PSD matrix ``g``, descending, or None.
+
+    ``b`` must bound the (rank+1)-th eigenvalue of ``g`` from above. Each
+    pass applies a Chebyshev filter that damps [0, b] to the block,
+    orthonormalizes it and takes Ritz pairs (theta, X) with residual
+    R = g X - X theta. The pairs are accepted if theta_r - |R|_F > b: then
+    ``rank`` eigenvalues lie within |R| of the theta (Kahan), all above b, so
+    they are the leading ones; and if |R|_F / (theta_r - b), which bounds
+    sin(angle) to the leading eigenspace (Davis and Kahan, 1970), is below
+    FILTER_TOL. The block starts from the columns of ``g`` with the largest
+    diagonal entries. None after FILTER_PASSES passes without a certificate,
+    or if ``b`` is outside (0, trace g) or so small that the filter's gain
+    would leave the floating-point range.
+    """
+    top = float(np.trace(g))  # >= the largest eigenvalue of a PSD g
+    if not 0.0 < b < top:
+        return None
+    degree = min(FILTER_DEGREE, int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
+    if degree < 1:
+        return None
+    x = g[:, np.argsort(-np.diag(g), kind="stable")[:rank]]
+    for _ in range(FILTER_PASSES):
+        x = np.linalg.qr(_chebyshev(g, x, degree, b, top))[0]
+        gx = g @ x
+        theta, w = np.linalg.eigh(x.T @ gx)
+        theta, w = theta[::-1], w[:, ::-1]
+        x = x @ w
+        res = float(np.linalg.norm(gx @ w - x * theta))
+        if theta[-1] - res > b and res / (theta[-1] - b) < FILTER_TOL:
+            return x
+    return None
+
+
+def truncate(y, rank: int, tail_bound=None) -> Truncation:
     """Leading rank-``rank`` left singular vectors and values of ``y``, from its smaller Gram matrix.
 
     With ``z = y / max|y|``, which cannot overflow when squared, ``basis`` holds
@@ -115,6 +188,16 @@ def truncate(y, rank: int) -> Truncation:
     not formed here. In exact arithmetic the result depends on ``y`` only
     through ``y y^T`` (up to column signs), so any matrix with the same
     ``y y^T`` may stand in for ``y``.
+
+    ``tail_bound``, if given, must bound s_{rank+1} of ``y`` from above. The
+    leading eigenvectors then come from a Chebyshev-filtered block iteration
+    that damps the Gram spectrum below ``(tail_bound / max|y|)^2``, and are
+    kept only under a certificate (see ``_filtered_top``): Kahan's residual
+    bound places ``rank`` Gram eigenvalues above the damped range, and the
+    Davis-Kahan bound puts the returned eigenvectors within sin-angle 1e-12 of
+    the leading eigenspace. Without a certificate, and without a bound, they
+    come from ``eigh``, so a bound that is 0, at least s_rank or never
+    certified gives the bound-free result bit for bit.
     """
     y = as_matrix(y)
     n, p = y.shape
@@ -124,9 +207,15 @@ def truncate(y, rank: int) -> Truncation:
         return Truncation(np.zeros((n, 0)), np.zeros(0))
     scale = np.max(np.abs(y)) or 1.0
     z = y / scale
+    g = z @ z.T if n <= p else z.T @ z
+    basis = None
+    if tail_bound is not None and tail_bound > 0:
+        t = float(tail_bound) / float(scale)
+        basis = _filtered_top(g, rank, t * t)
     # Leading eigenvectors first: the QR must orthogonalize round-off columns
     # against the signal ones, not the other way round.
-    basis = np.linalg.eigh(z @ z.T if n <= p else z.T @ z)[1][:, :-rank - 1:-1]
+    if basis is None:
+        basis = np.linalg.eigh(g)[1][:, :-rank - 1:-1]
     if n > p:
         q, rr = np.linalg.qr(z @ basis)
         basis = q * np.copysign(1.0, np.diag(rr))

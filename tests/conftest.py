@@ -42,6 +42,22 @@ def prepared_views(cfg, ranks=None):
     return views, truth, truncs, sigmas
 
 
+def count_filtered(monkeypatch):
+    """Record, per call of truncate's filtered eigensolver, whether it certified."""
+    import ppdecomp.ranksel
+
+    outcomes = []
+    filtered_top = ppdecomp.ranksel._filtered_top
+
+    def counted(*args):
+        out = filtered_top(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", counted)
+    return outcomes
+
+
 def ablation_paired_runs(n_runs=20, replicates=60, seed0=0):
     """Rotational-vs-naive epsilon_1 pairs at low rank-to-dimension ratio, SNR 0.5."""
     import ppdecomp as ppd

@@ -6,11 +6,11 @@ import pytest
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       SimConfig, decompose, epsilon_pair, estimate_epsilon1,
                       generate, misspecify_ranks, principal_spectrum,
-                      rotate_align, truncate)
+                      rotate_align, Truncation, truncate)
 import ppdecomp.bootstrap
 from ppdecomp.bootstrap import (_frame_replicate, _haar_pair_rng, _noise_replicate_rng,
-                                _row_frame)
-from conftest import prepared_views, projector, qr_basis
+                                _row_frame, _tail_bound)
+from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
                 angle_deg=90.0)
@@ -105,11 +105,29 @@ def test_frame_replicate_has_the_replicate_gram(n, p, noise):
     us = qr_basis(n, r, rng) * np.linspace(30.0, 10.0, r)
     v = qr_basis(p, r, rng)
     y = us @ v.T + e
-    z = _frame_replicate(us, v, *_row_frame(e))
+    q, rt = _row_frame(e)
+    z = _frame_replicate(us, v, q, rt)
     assert z.shape == (n, n + r if p > n else p)
     assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
     assert np.max(np.abs(projector(truncate(z, r).basis)
                          - projector(truncate(y, r).basis))) <= 1e-10
+    # Weyl: the signal has rank r, so s_{r+1} <= |e|_2 = |rt|_2. Without
+    # noise, s_{r+1} of the computed z is round-off of its leading value.
+    s = np.linalg.svd(z, compute_uv=False)
+    assert s[r] <= np.linalg.norm(rt, 2) * (1.0 + 1e-12) + 1e-14 * s[0]
+
+
+def test_tail_bound_screen():
+    # The bound |rt|_2 is passed only if every retained column is signal, the
+    # noise is above round-off of the leading value, and s_r clears it by 1.5.
+    trunc = Truncation(np.eye(6, 3), np.array([9.0, 6.0, 3.0]))
+    rt = np.diag([1.0, 0.5])
+    assert _tail_bound(trunc, 3, rt) == 1.0
+    assert _tail_bound(trunc, 2, rt) is None               # k < r
+    assert _tail_bound(trunc, 3, 0.0 * rt) is None         # sigma_hat = 0 on noise-free data
+    assert _tail_bound(trunc, 3, 9e-13 * rt) is None       # round-off noise
+    assert _tail_bound(trunc, 3, 2.0 * rt) is None         # s_r = 1.5 |e|_2
+    assert _tail_bound(trunc, 3, 2.5 * rt) is None
 
 
 def _over_ranks(cfg):
@@ -141,6 +159,23 @@ def test_epsilon1_noiseless_over_specified_is_tiny():
         est = estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], 0.0, 0.0,
                                 BootstrapConfig(replicates=8, seed=1))
         assert est.epsilon1_hat <= 1e-6
+
+
+def test_filtered_retruncation_only_where_it_certifies(monkeypatch):
+    # A wide pair at SNR 2 certifies every replicate; over-specified ranks
+    # (surplus columns carry no signal) and noise-free views never enter.
+    outcomes = count_filtered(monkeypatch)
+    cfg = SimConfig(n=167, dims=(1572, 375), joint_rank=8, individual_ranks=(8, 8),
+                    angle_deg=60.0, snr=2.0, seed=3)
+    decompose(*generate(cfg)[0], ranks=(16, 16), bootstrap=BootstrapConfig(replicates=4))
+    assert outcomes == [True] * 8
+    outcomes.clear()
+    for snr, over in ((2.0, True), (0.5, True), (np.inf, False), (np.inf, True)):
+        cfg = SimConfig(snr=snr, seed=4, **FIVE_CFG)
+        views, _ = generate(cfg)
+        decompose(*views, ranks=_over_ranks(cfg) if over else None,
+                  bootstrap=BootstrapConfig(replicates=4))
+    assert outcomes == []
 
 
 @pytest.mark.parametrize("angle", [90.0, 30.0], ids=["a90", "a30"])

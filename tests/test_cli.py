@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ppdecomp as ppd
 from ppdecomp import InvalidInput, ParseError, read_matrix_csv, write_matrix_csv
@@ -361,6 +364,22 @@ def test_cli_bootstrap_infeasible_exit_code(tmp_path, capsys):
                "--ranks", "6,6", "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert "bootstrap infeasible" in capsys.readouterr().err
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 30), data=st.data())
+def test_cli_infeasible_ranks_property(n, data):
+    # Any explicit ranks with r1 + r2 > n exit 3, whatever the shapes.
+    p1 = data.draw(st.integers(2, 40), label="p1")
+    p2 = data.draw(st.integers(max(2, n + 1 - min(n, p1)), 40), label="p2")
+    r1 = data.draw(st.integers(max(1, n + 1 - min(n, p2)), min(n, p1)), label="r1")
+    r2 = data.draw(st.integers(n + 1 - r1, min(n, p2)), label="r2")
+    rng = np.random.default_rng(n * 1000 + r1 * 50 + r2)
+    with tempfile.TemporaryDirectory() as tmp:
+        args = _write_views(Path(tmp), [rng.standard_normal((n, p)) for p in (p1, p2)])
+        rc = main(["decompose", *args, "--ranks", f"{r1},{r2}", "--bootstrap-reps", "2",
+                   "--out", str(Path(tmp) / "r.json")])
+    assert rc == 3
 
 
 def _write_views(tmp_path, views, tag="v"):

@@ -409,6 +409,35 @@ def test_decompose_view_scale_property(n, p1, p2, ind, angle, snr, seed, exponen
     assert scaled.epsilon1_hat == pytest.approx(base.epsilon1_hat, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(**VIEW_DRAWS, which=st.sampled_from([0, 1]))
+def test_decompose_duplicate_view_property(n, p1, p2, ind, angle, snr, seed, which):
+    # A view paired with a copy of itself is all joint.
+    y = _property_views(n, p1, p2, ind, angle, snr, seed)[which]
+    res = decompose(y, y.copy(), bootstrap=BootstrapConfig(replicates=10, seed=seed % 1000))
+    assert res.marginal_ranks[0] == res.marginal_ranks[1]
+    assert res.joint_rank == res.marginal_ranks[0]
+    assert res.individuals[0].shape[1] == res.individuals[1].shape[1] == 0
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(**VIEW_DRAWS, which=st.sampled_from([0, 1]), explicit=st.booleans())
+def test_decompose_rank_zero_view_property(n, p1, p2, ind, angle, snr, seed, which, explicit):
+    # A rank-0 view, whether all zero or truncated at 0, shares nothing.
+    views = _property_views(n, p1, p2, ind, angle, snr, seed)
+    ranks = None
+    if explicit:
+        ranks = [ppd.select_rank(y).rank for y in views]
+        ranks[which] = 0
+    else:
+        views[which] = np.zeros_like(views[which])
+    res = decompose(*views, ranks=ranks, bootstrap=BootstrapConfig(replicates=10, seed=seed % 1000))
+    assert res.marginal_ranks[which] == 0
+    assert res.joint_rank == 0
+    assert res.joint.shape == (n, 0)
+    assert res.individuals[1 - which].shape[1] == res.marginal_ranks[1 - which]
+
+
 def test_decompose_result_invariants():
     cfg = ppd.SimConfig(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
                         angle_deg=90.0, snr=2.0, seed=20)

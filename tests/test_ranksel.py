@@ -6,7 +6,7 @@ import pytest
 from ppdecomp import (InvalidInput, SimConfig, generate, gd_coefficient,
                       marchenko_pastur_median, mp_median_sv, select_rank,
                       truncate)
-from conftest import projector, qr_basis
+from conftest import count_filtered, projector, qr_basis
 
 
 def mp_median_oracle(beta):
@@ -164,8 +164,11 @@ def _projector_gap(a, b):
     return np.linalg.norm(projector(a) - projector(b), 2)
 
 
-@pytest.mark.parametrize("shape", [(30, 70), (70, 30), (40, 40)],
-                         ids=["wide", "tall", "square"])
+SHAPES = pytest.mark.parametrize("shape", [(30, 70), (70, 30), (40, 40)],
+                                 ids=["wide", "tall", "square"])
+
+
+@SHAPES
 def test_truncate_matches_svd(shape):
     # The Gram route agrees with a full SVD to round-off when the rank-r gap is
     # clear, keeps surplus values of a rank-deficient input at round-off, and
@@ -185,6 +188,55 @@ def test_truncate_matches_svd(shape):
         assert all(np.all(np.isfinite(a)) for a in scaled)
         assert _projector_gap(scaled.basis, trunc.basis) <= 1e-12
         assert scaled.values / scale == pytest.approx(trunc.values, rel=1e-12)
+
+
+@SHAPES
+def test_truncate_tail_bound_matches_bound_free(shape, monkeypatch):
+    # A valid bound on s_7 takes the certified filter, which agrees with the
+    # eigh route to round-off, at any scale.
+    y = _planted(*shape, np.linspace(10.0, 5.0, 6), 0.1, seed=sum(shape))
+    s = np.linalg.svd(y, compute_uv=False)
+    outcomes = count_filtered(monkeypatch)
+    for scale in (1.0, 1e150, 1e-150):
+        for bound in (s[6], 2.0 * s[6]):
+            free = truncate(y * scale, 6)
+            bounded = truncate(y * scale, 6, bound * scale)
+            assert _projector_gap(bounded.basis, free.basis) <= 1e-12
+            assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values)
+            assert np.all(np.diff(bounded.values) <= 0.0)
+    assert outcomes == [True] * 6
+
+
+@SHAPES
+def test_truncate_useless_tail_bound_is_bit_identical(shape, monkeypatch):
+    # A bound at or above s_r cannot be certified, and a bound of 0 is not
+    # tried; either way the eigh route runs. The first two do enter the filter.
+    y = _planted(*shape, np.linspace(10.0, 5.0, 6), 0.1, seed=sum(shape))
+    s = np.linalg.svd(y, compute_uv=False)
+    free = truncate(y, 6)
+    outcomes = count_filtered(monkeypatch)
+    for bound in (s[5], 0.5 * (s[4] + s[5]), 2.0 * s[0], 0.0):
+        bounded = truncate(y, 6, bound)
+        assert np.array_equal(bounded.basis, free.basis)
+        assert np.array_equal(bounded.values, free.values)
+    assert len(outcomes) >= 2 and not any(outcomes)
+
+
+@SHAPES
+def test_truncate_round_off_tail_bound_raises_no_float_error(shape, monkeypatch):
+    # A bound of 1e-13 s_1 drives the filter's gain to its cap. On a nearly
+    # noise-free rank-6 input it certifies; on a rank-4 one, s_5 and s_6 lie
+    # below the bound and it falls back. No intermediate may overflow or
+    # underflow either way.
+    outcomes = count_filtered(monkeypatch)
+    for strengths in (np.linspace(10.0, 5.0, 6), np.linspace(10.0, 5.0, 4)):
+        y = _planted(*shape, strengths, 1e-16, seed=sum(shape))
+        free = truncate(y, 6)
+        with np.errstate(all="raise"):
+            bounded = truncate(y, 6, 1e-13 * np.linalg.norm(y, 2))
+        assert _projector_gap(bounded.basis, free.basis) <= 1e-12
+        assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values[0])
+    assert outcomes == [True, False]
 
 
 def test_truncate_rejects_excessive_rank():
