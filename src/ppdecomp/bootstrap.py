@@ -7,15 +7,17 @@ replicated signals, re-estimates the subspaces with ``truncate``, and records
 the realized perturbation. The mean over replicates estimates epsilon_1,
 the maximal downward shift of the joint singular values.
 
-A replicate y = U S V^T + e of an n x p view is never formed. Once per pair,
-the noise is factored as e^T = Q R (Q of size p x m, m = min(n, p)); the
-replicate is then handed to ``truncate`` as
+A replicate of an n x p view is never formed at full width. Once per pair,
+the noise is factored as e^T = Q R and only R is kept: R^T holds e's
+coordinates in the orthonormal frame Q (m = min(n, p) columns). Each
+replicate is handed to ``truncate`` as
 
-    z = [U S (Q^T V)^T + R^T,  U S C^(1/2)],   C = I - (Q^T V)^T (Q^T V),
+    z = [U S V_m^T + R^T,  U S R_V^T],   R_V the R factor of V[m:],
 
-which has z z^T = y y^T and so the same leading left subspace. The second
-block carries the part of V outside the noise's row space; it is empty
-unless p > n. A wide replicate thus shrinks from n x p to n x (n + r).
+with V_m the first m rows of its Haar right basis V. Then z z^T = y y^T for
+y = U S ([Q Q_perp] V)^T + e, an exact replicate since [Q Q_perp] V is Haar
+too. The second block, at most r columns, is empty unless p > n, so a wide
+replicate shrinks from n x p to n x (n + r).
 
 Because e is fixed for the pair, so is a bound on the replicate's tail: with
 at most r nonzero signal strengths, s_{r+1}(U S V^T + e) <= |e|_2 = |R|_2
@@ -141,25 +143,22 @@ def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
 
 
 def _row_frame(e):
-    """(q, rt) with orthonormal q of size (p, m), m = min(n, p), and e = rt q^T."""
-    q, r = np.linalg.qr(e.T)
-    return q, r.T
+    """rt, the (n, min(n, p)) coordinates of e in an orthonormal frame q: e = rt q^T."""
+    return np.linalg.qr(e.T, mode="r").T
 
 
-def _frame_replicate(us, v, q, rt) -> np.ndarray:
-    """Stand-in z with z z^T = y y^T for the replicate y = us v^T + rt q^T.
+def _frame_replicate(us, v, rt) -> np.ndarray:
+    """Stand-in z with z z^T = y y^T for the replicate y = us (O v)^T + e.
 
-    ``v`` is (p, r) orthonormal. Its part inside col(q) folds into the
-    noise's coordinates; its part outside, of Gram C = I - a^T a with
-    a = q^T v, is carried by the extra block ``us C^(1/2)``.
+    O = [q q_perp] completes the noise's row frame: the first m rows of ``v``
+    fold into the noise's coordinates, and the rest, of Gram R_v^T R_v, are
+    carried by the extra block ``us R_v^T``.
     """
-    a = q.T @ v
-    z = us @ a.T + rt
-    if q.shape[0] == q.shape[1]:  # p <= n: q is square, v lies inside col(q)
+    m = rt.shape[1]
+    z = us @ v[:m].T + rt
+    if v.shape[0] == m:  # p <= n: v lies inside the noise's row frame
         return z
-    lam, w = np.linalg.eigh(np.eye(a.shape[1]) - a.T @ a)
-    root = (w * np.sqrt(np.maximum(lam, 0.0))) @ w.T
-    return np.hstack([z, us @ root])
+    return np.hstack([z, us @ np.linalg.qr(v[m:], mode="r").T])
 
 
 def _tail_bound(trunc: Truncation, k: int, rt):
@@ -258,11 +257,11 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
     k1 = int(np.count_nonzero(s1))
     k2 = int(np.count_nonzero(s2))
-    # The QR consumes each noise matrix; only its row frame is kept.
-    q1, rt1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
-                                              derive_rng(cfg.seed, STREAM_NOISE, 0)))
-    q2, rt2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
-                                              derive_rng(cfg.seed, STREAM_NOISE, 1)))
+    # The QR consumes each noise matrix; only its row-frame coordinates are kept.
+    rt1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
+                                          derive_rng(cfg.seed, STREAM_NOISE, 0)))
+    rt2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
+                                          derive_rng(cfg.seed, STREAM_NOISE, 1)))
     bound1 = _tail_bound(trunc1, k1, rt1)
     bound2 = _tail_bound(trunc2, k2, rt2)
 
@@ -274,8 +273,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
             u2b = rotate_align(u1b, u2b, sigma_m)
         v1b = haar_basis(y1.shape[1], r1, rng)
         v2b = haar_basis(y2.shape[1], r2, rng)
-        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, q1, rt1), r1, bound1).basis
-        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, q2, rt2), r2, bound2).basis
+        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, rt1), r1, bound1).basis
+        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, rt2), r2, bound2).basis
         vals[b] = min(epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)[0], 1.0)
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,

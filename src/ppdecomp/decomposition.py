@@ -36,7 +36,7 @@ from ._rng import STREAM_PAIR, derive_seed
 from .bootstrap import BootstrapConfig, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
 from .linalg import as_matrix, principal_spectrum, reduced_coords
-from .noise import noise_law
+from .noise import NoiseSpectrumLaw, noise_law, singular_value_threshold
 from .ranksel import select_rank, truncate
 
 # Upper cap on the bootstrap threshold 1 - epsilon1_hat. In exactly noiseless
@@ -75,17 +75,18 @@ class DecompositionResult:
     binding_pair: tuple[int, int] = (0, 1)
 
 
-def product_spectrum(u1_hat, u2_hat, eps1_hat: float, lambda_plus: float) -> ProductSpectrum:
-    """Spectrum of the product of the two estimated projections with thresholds attached."""
-    if not 0.0 <= lambda_plus <= 1.0:
-        raise InvalidInput("lambda_plus must lie in [0, 1]")
+def product_spectrum(u1_hat, u2_hat, eps1_hat: float, law: NoiseSpectrumLaw) -> ProductSpectrum:
+    """Spectrum of the product of the two estimated projections with thresholds attached.
+
+    The noise threshold is :func:`ppdecomp.noise.singular_value_threshold` of ``law``.
+    """
     if eps1_hat < 0.0:
         raise InvalidInput("eps1_hat must be >= 0")
     values = principal_spectrum(u1_hat, u2_hat)
     bootstrap_threshold = min(max(1.0 - eps1_hat, 0.0), BOOTSTRAP_THRESHOLD_CAP)
     return ProductSpectrum(values=values,
                            bootstrap_threshold=bootstrap_threshold,
-                           noise_threshold=float(np.sqrt(lambda_plus)))
+                           noise_threshold=singular_value_threshold(law))
 
 
 def joint_rank(spectrum: ProductSpectrum) -> int:
@@ -132,23 +133,15 @@ def joint_basis(bases, r_joint: int) -> np.ndarray:
 def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
     """Leading rank_k - r_joint directions of the view projection outside the joint.
 
-    Computed as the top left singular vectors of (I - P_joint) P_view, so the
-    result is orthogonal to the joint basis by construction.
+    Computed as the top left singular vectors of (I - P_joint) uk_hat, which
+    are those of (I - P_joint) P_view, so the result is orthogonal to the
+    joint basis by construction.
     """
     if r_joint > rk:
         raise InvalidInput(f"r_joint = {r_joint} exceeds the marginal rank {rk}")
     uk_hat = np.asarray(uk_hat, dtype=float)
-    n = uk_hat.shape[0]
-    r_ind = rk - r_joint
-    if r_ind == 0:
-        return np.zeros((n, 0))
-    if joint.shape[1] == 0:
-        return uk_hat.copy()
-    w, (ck, cj) = reduced_coords(uk_hat, joint)
-    m = w.shape[1]
-    a = (np.eye(m) - cj @ cj.T) @ (ck @ ck.T)
-    u_red = np.linalg.svd(a)[0]
-    return w @ u_red[:, :r_ind]
+    outside = uk_hat - joint @ (joint.T @ uk_hat)
+    return np.linalg.svd(outside, full_matrices=False)[0][:, :rk - r_joint]
 
 
 def _resolve_ranks(selections, views, ranks):
@@ -198,8 +191,7 @@ def decompose_multiview(views, ranks=None,
         est = estimate_epsilon1(views[i], views[j], truncs[i], truncs[j],
                                 sigma_hats[i], sigma_hats[j], cfg_pair)
         law = noise_law(marginal_ranks[i] / n, marginal_ranks[j] / n)
-        spec = product_spectrum(truncs[i].basis, truncs[j].basis,
-                                est.epsilon1_hat, law.lambda_plus)
+        spec = product_spectrum(truncs[i].basis, truncs[j].basis, est.epsilon1_hat, law)
         r_pair = joint_rank(spec)
         if best is None or r_pair < best[0]:
             best = (r_pair, (i, j), spec, est)

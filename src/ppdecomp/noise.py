@@ -101,13 +101,13 @@ def noise_density(law: NoiseSpectrumLaw, lam: float) -> float:
     return float(num / (2.0 * np.pi * lam * (1.0 - lam)))
 
 
-def noise_cdf(law: NoiseSpectrumLaw, lam: float, normalized: bool = True) -> float:
-    """Integral of the continuous density from the lower edge up to ``lam``.
+def noise_cdf(law: NoiseSpectrumLaw, lam: float) -> float:
+    """CDF of the continuous part of the law at ``lam``, a proper CDF on the support.
 
-    With ``normalized=True`` the result is divided by the continuous mass so
-    it forms a proper CDF of the non-atomic part (used for KS comparisons
-    against sampled spectra). Computed by :func:`edge_quadrature` with
-    ``NOISE_CDF_NODES`` nodes.
+    The continuous density is integrated from the lower edge up to ``lam``
+    and divided by the continuous mass (for KS comparisons against sampled
+    spectra). Computed by :func:`edge_quadrature` with ``NOISE_CDF_NODES``
+    nodes.
     """
     a, b = law.lambda_minus, law.lambda_plus
     mass = continuous_mass(law)
@@ -119,7 +119,7 @@ def noise_cdf(law: NoiseSpectrumLaw, lam: float, normalized: bool = True) -> flo
         lam = b
     total = edge_quadrature(a, b, lam, lambda xt: 2.0 * np.pi * xt * (1.0 - xt),
                             NOISE_CDF_NODES)
-    return total / mass if normalized else total
+    return total / mass
 
 
 def singular_value_threshold(law: NoiseSpectrumLaw) -> float:

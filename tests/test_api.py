@@ -1,6 +1,7 @@
 """Guards on the public surface: the exported names, the names the demos and
 README use, and the functions the benchmark tracer hooks."""
 
+import ast
 import importlib.util
 import re
 from dataclasses import replace
@@ -37,6 +38,19 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(ppd.__all__)) == len(PUBLIC) == 58
     for name in PUBLIC:
         assert hasattr(ppd, name), name
+
+
+def test_no_private_name_is_imported_across_modules():
+    # A name with a leading underscore belongs to its module; a sibling that
+    # needs it should get a public name instead. Parsed rather than grepped,
+    # so parenthesized imports over several lines are checked too.
+    crossings = []
+    for path in sorted((ROOT / "src" / "ppdecomp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                crossings += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert crossings == []
 
 
 def test_demos_and_readme_use_existing_names():

@@ -98,16 +98,19 @@ def test_noise_replicate_restores_noise_energy():
                          ids=["wide", "barely-wide", "square", "tall", "wide-e0", "tall-e0"])
 def test_frame_replicate_has_the_replicate_gram(n, p, noise):
     # p >= n + r, n < p < n + r, p = n, p < n, and noise-free data. The
-    # stand-in must reproduce y y^T and hence the truncation of y itself.
+    # stand-in must reproduce y y^T of the replicate y = us (O v)^T + e, with
+    # O = [q q_perp] the completed row frame of e, and hence the truncation
+    # of y itself.
     r = 5
     rng = np.random.default_rng(n + p)
     e = noise * rng.standard_normal((n, p))
     us = qr_basis(n, r, rng) * np.linspace(30.0, 10.0, r)
     v = qr_basis(p, r, rng)
-    y = us @ v.T + e
-    q, rt = _row_frame(e)
-    z = _frame_replicate(us, v, q, rt)
-    assert z.shape == (n, n + r if p > n else p)
+    o = np.linalg.qr(e.T, mode="complete")[0]
+    y = us @ (o @ v).T + e
+    rt = _row_frame(e)
+    z = _frame_replicate(us, v, rt)
+    assert z.shape == (n, n + min(p - n, r) if p > n else p)
     assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
     assert np.max(np.abs(projector(truncate(z, r).basis)
                          - projector(truncate(y, r).basis))) <= 1e-10
@@ -207,6 +210,49 @@ def test_epsilon1_same_law_as_svd_haar_pair(monkeypatch):
 
     new = [estimates(seed) for seed in range(20)]
     monkeypatch.setattr(ppdecomp.bootstrap, "_haar_pair_rng", _svd_haar_pair)
+    old = [estimates(seed) for seed in range(20)]
+    z = [(a.epsilon1_hat - b.epsilon1_hat)
+         / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
+         for a, b in zip(new, old)]
+    assert abs(np.mean(z)) <= 1.0
+
+
+def _q_row_frame(e):
+    """Reference row frame with its orthonormal factor formed: e = rt q^T."""
+    q, r = np.linalg.qr(e.T)
+    return q, r.T
+
+
+def _q_frame_replicate(us, v, q, rt):
+    """Reference stand-in for y = us v^T + rt q^T, which reads v through q.
+
+    Its part outside col(q), of Gram C = I - a^T a with a = q^T v, is carried
+    by the extra block us C^(1/2).
+    """
+    a = q.T @ v
+    z = us @ a.T + rt
+    if q.shape[0] == q.shape[1]:
+        return z
+    lam, w = np.linalg.eigh(np.eye(a.shape[1]) - a.T @ a)
+    return np.hstack([z, us @ ((w * np.sqrt(np.maximum(lam, 0.0))) @ w.T)])
+
+
+@pytest.mark.parametrize("n,dims", [(50, (80, 100)), (100, (40, 60))], ids=["wide", "tall"])
+def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
+    # Reading v in the noise's own coordinates replicates y = us (O v)^T + e
+    # instead of us v^T + e; O v is Haar too, so epsilon_1 may differ only
+    # within its Monte-Carlo error. The reference keeps the noise and forms q.
+    def estimates(seed):
+        cfg = SimConfig(snr=2.0, seed=seed, **{**FIVE_CFG, "n": n, "dims": dims,
+                                               "angle_deg": 30.0})
+        views, _, truncs, sigmas = prepared_views(cfg)
+        return estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
+                                 BootstrapConfig(replicates=100, seed=seed + 300))
+
+    new = [estimates(seed) for seed in range(20)]
+    monkeypatch.setattr(ppdecomp.bootstrap, "_row_frame", lambda e: e)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_frame_replicate",
+                        lambda us, v, e: _q_frame_replicate(us, v, *_q_row_frame(e)))
     old = [estimates(seed) for seed in range(20)]
     z = [(a.epsilon1_hat - b.epsilon1_hat)
          / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)

@@ -89,15 +89,15 @@ def small_instance(seed):
 
 def test_product_spectrum_identical_views():
     u = qr_basis(10, 3, np.random.default_rng(0))
-    spec = product_spectrum(u, u, 0.1, 0.25)
+    spec = product_spectrum(u, u, 0.1, ppd.noise_law(0.3, 0.3))
     assert np.allclose(spec.values, 1.0, atol=1e-10)
-    assert spec.noise_threshold == pytest.approx(0.5)
+    assert spec.noise_threshold == pytest.approx(np.sqrt(0.84))
     assert spec.bootstrap_threshold == pytest.approx(0.9)
 
 
 def test_product_spectrum_orthogonal_views():
     q = qr_basis(10, 6, np.random.default_rng(1))
-    spec = product_spectrum(q[:, :3], q[:, 3:], 0.0, 0.0)
+    spec = product_spectrum(q[:, :3], q[:, 3:], 0.0, ppd.noise_law(0.3, 0.3))
     assert np.allclose(spec.values, 0.0, atol=1e-10)
     assert spec.bootstrap_threshold < 1.0  # capped just below one
 
@@ -183,6 +183,30 @@ def test_individual_basis_recovers_planted_individual_noiseless():
     ind = individual_basis(u1, joint, 6, 3)
     assert subspace_distance(ind, i1) <= 1e-8
     assert np.max(np.abs(joint.T @ ind)) <= 1e-10
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(6, 20), rk=st.integers(1, 6), joint_frac=st.floats(0.0, 1.0),
+       noise=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+@example(n=10, rk=4, joint_frac=0.0, noise=0.3, seed=1)   # empty joint
+@example(n=10, rk=4, joint_frac=1.0, noise=0.3, seed=2)   # r_joint = rk
+@example(n=10, rk=4, joint_frac=0.5, noise=0.0, seed=3)   # joint inside the view
+def test_individual_basis_matches_brute_force_projectors(n, rk, joint_frac, noise, seed):
+    # The joint basis is a perturbation of part of the view, as estimated
+    # joint bases are; the reference is the n x n product (I - P_J) P_k.
+    rng = np.random.default_rng(seed)
+    assume(rk < n)
+    r_joint = int(round(joint_frac * rk))
+    u = qr_basis(n, rk, rng)
+    x = u[:, :r_joint] + noise * rng.standard_normal((n, r_joint))
+    joint = np.linalg.qr(x)[0] if r_joint else np.zeros((n, 0))
+    left, s, _ = np.linalg.svd((np.eye(n) - projector(joint)) @ projector(u))
+    r_ind = rk - r_joint
+    assume(r_ind == 0 or s[r_ind - 1] - s[r_ind] >= 1e-3)
+    got = individual_basis(u, joint, rk, r_joint)
+    assert got.shape == (n, r_ind)
+    assert np.max(np.abs(projector(got) - projector(left[:, :r_ind]))) <= 1e-10
+    assert np.max(np.abs(joint.T @ got), initial=0.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +458,7 @@ def test_decompose_rank_zero_view_property(n, p1, p2, ind, angle, snr, seed, whi
     res = decompose(*views, ranks=ranks, bootstrap=BootstrapConfig(replicates=10, seed=seed % 1000))
     assert res.marginal_ranks[which] == 0
     assert res.joint_rank == 0
+    assert res.spectrum.noise_threshold == 0.0
     assert res.joint.shape == (n, 0)
     assert res.individuals[1 - which].shape[1] == res.marginal_ranks[1 - which]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ppdecomp import (InvalidInput, continuous_mass, noise_cdf, noise_density,
+from ppdecomp import (InvalidInput, noise_cdf, noise_density,
                       noise_law, sample_noise_spectrum,
                       singular_value_threshold)
 
@@ -74,8 +74,6 @@ def test_density_small_near_edges():
 def test_noise_cdf_normalization():
     law = noise_law(0.25, 0.4)
     assert noise_cdf(law, law.lambda_plus) == pytest.approx(1.0, abs=1e-9)
-    raw = noise_cdf(law, law.lambda_plus, normalized=False)
-    assert raw == pytest.approx(continuous_mass(law), abs=1e-9)
 
 
 def test_sv_threshold_values():
