@@ -15,8 +15,7 @@ from .bootstrap import (BootstrapConfig, EpsilonEstimate, estimate_epsilon1,
 from .decomposition import (DecompositionResult, ProductSpectrum, decompose,
                             decompose_multiview, individual_basis, joint_basis,
                             joint_rank, product_spectrum)
-from .diagnostics import (DiagnosticReport, build_report, export_json,
-                          render_svg, report_from_json, report_from_parts)
+from .diagnostics import build_report, export_json, render_svg, report_from_parts
 from .exceptions import (BootstrapInfeasible, DimensionMismatch, InvalidInput,
                          ParseError)
 from .linalg import (haar_basis, orthonormalize, principal_spectrum,
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRow", "BootstrapConfig", "BootstrapInfeasible",
-    "DecompositionResult", "DiagnosticReport", "DimensionMismatch",
+    "DecompositionResult", "DimensionMismatch",
     "EpsilonEstimate", "InvalidInput", "NoiseSpectrumLaw", "ParseError",
     "ProductSpectrum", "RankSelection", "ScoreTriple", "SimConfig", "SimTruth",
     "Theorem2Report", "Truncation", "TruthOracle", "build_report",
@@ -49,7 +48,7 @@ __all__ = [
     "joint_basis", "joint_rank", "marchenko_pastur_median",
     "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",
     "noise_law", "orthonormalize", "principal_spectrum", "product_spectrum",
-    "read_matrix_csv", "render_svg", "report_from_json", "report_from_parts",
+    "read_matrix_csv", "render_svg", "report_from_parts",
     "rotate_align", "run_benchmark", "sample_noise_spectrum", "score",
     "select_rank", "singular_value_threshold", "spectral_norm",
     "subspace_distance", "theorem2_bounds", "truncate", "truth_oracle",

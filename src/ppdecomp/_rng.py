@@ -3,11 +3,14 @@
 Every randomized routine takes an explicit integer seed and derives
 sub-streams through ``numpy.random.SeedSequence`` spawn keys, so that
 serial and (externally) parallel execution consume identical streams.
+A negative seed raises ``InvalidInput``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .exceptions import InvalidInput
 
 # Stream tags; fixed for reproducibility across releases.
 STREAM_NOISE = 0        # noise-replicate imputation, one child per view
@@ -17,13 +20,17 @@ STREAM_RANKS = 3        # rank misspecification draws
 STREAM_CELL = 4         # benchmark grid cells
 
 
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    if int(seed) < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the sub-stream identified by ``key`` under ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit integer seed for the sub-stream identified by ``key``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(2, np.uint32).view(np.uint64)[0])

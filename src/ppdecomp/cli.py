@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -216,17 +215,18 @@ def _cmd_noise_spectrum(args) -> int:
     return 0
 
 
-def _density_samples(law: NoiseSpectrumLaw, points: int = 201):
+def _density_samples(law: NoiseSpectrumLaw):
     if law.lambda_plus <= law.lambda_minus:
         return []
-    lams = np.linspace(law.lambda_minus, law.lambda_plus, points)
-    return [[float(l), noise_density(law, l)] for l in lams]
+    lams = np.linspace(law.lambda_minus, law.lambda_plus, 201)
+    return np.column_stack([lams, noise_density(law, lams)]).tolist()
 
 
 def _load_result_json(path: str) -> DecompositionResult:
     with open(path) as fh:
         payload = json.load(fh)
     try:
+        n = int(payload["n"])
         spectrum = ProductSpectrum(
             values=_float_vector(payload["spectrum"]["values"]),
             bootstrap_threshold=float(payload["spectrum"]["bootstrap_threshold"]),
@@ -243,12 +243,20 @@ def _load_result_json(path: str) -> DecompositionResult:
             epsilon1_hat=float(payload["epsilon1_hat"]),
             sigma_hats=tuple(float(s) for s in payload["sigma_hats"]),
             view_bases=[],
-            binding_pair=tuple(int(i) for i in payload.get("binding_pair", (0, 1))),
+            binding_pair=tuple(payload.get("binding_pair", (0, 1))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: not a decomposition result file ({exc})") from None
+    if n < 1 or any(b.shape[0] != n for b in [joint, *individuals]):
+        raise InvalidInput(f"{path}: n = {n} must be >= 1 and equal every basis's ambient_dim")
+    drawn = np.concatenate([spectrum.values,
+                            [spectrum.bootstrap_threshold, spectrum.noise_threshold]])
+    if not np.all((drawn >= 0.0) & (drawn <= 1.0)):
+        raise InvalidInput(f"{path}: spectrum values and thresholds must be finite "
+                           f"and lie in [0, 1]")
     pair = result.binding_pair
-    if len(pair) != 2 or not all(0 <= i < len(result.marginal_ranks) for i in pair):
+    if len(pair) != 2 or not all(type(i) is int and 0 <= i < len(result.marginal_ranks)
+                                 for i in pair):
         raise InvalidInput(f"{path}: binding_pair {list(pair)} does not name two of "
                            f"{len(result.marginal_ranks)} views")
     return result
@@ -261,14 +269,16 @@ def _cmd_diagnose(args) -> int:
     if args.truth:
         with open(args.truth) as fh:
             sidecar = json.load(fh)
+        histogram = report.pop("histogram")       # stays the last key
         try:
             if "truth_lines" in sidecar:
-                report = replace(report, truth_lines=_float_vector(sidecar["truth_lines"]))
+                report["truth_lines"] = _float_vector(sidecar["truth_lines"]).tolist()
             if "theorem1_intervals" in sidecar:
-                report = replace(report, theorem1=tuple(
-                    (float(lo), float(hi)) for lo, hi in sidecar["theorem1_intervals"]))
+                report["theorem1_intervals"] = [
+                    [float(lo), float(hi)] for lo, hi in sidecar["theorem1_intervals"]]
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"{args.truth}: not a truth sidecar ({exc})") from None
+        report["histogram"] = histogram
     if args.svg:
         atomic_write_text(args.svg, render_svg(report))
     if args.json_out:

@@ -1,40 +1,27 @@
 """Diagnostic reports for the product-of-projections spectrum.
 
-A report bundles the observed spectrum with the two threshold bands (green:
-bootstrap bound on the joint cluster, blue: random-alignment bound on the
-noise cluster), the theoretical noise density mapped to the singular-value
-axis, a fixed 40-bin histogram on [0, 1], and, when the planted truth is
-available, the noiseless spectrum lines and the three cluster intervals.
-Reports render to standalone SVG and round-trip losslessly through JSON.
+A report is the JSON document itself: a plain dict holding the observed
+spectrum, the two threshold bands (green: bootstrap bound on the joint
+cluster, blue: random-alignment bound on the noise cluster), the theoretical
+noise density mapped to the singular-value axis, and, when the planted truth
+is available, the noiseless spectrum lines and the three cluster intervals,
+then a fixed 40-bin histogram on [0, 1]. Reports render to a standalone SVG
+on a fixed 900x480 canvas, and :func:`export_json` writes the dict as it is.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import DecompositionResult, ProductSpectrum
-from .exceptions import InvalidInput
 from .linalg import principal_spectrum
 from .noise import NoiseSpectrumLaw, continuous_mass, density_sv_scale, noise_law
 from .oracle import epsilon_pair, truth_oracle
 
 HISTOGRAM_BINS = 40
 DENSITY_POINTS = 200
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    spectrum: ProductSpectrum
-    green_band: tuple[float, float]
-    blue_band: tuple[float, float]
-    density_curve: np.ndarray                    # (m, 2) pairs (s, g(s)), count-scaled
-    histogram_edges: np.ndarray
-    histogram_counts: np.ndarray
-    truth_lines: np.ndarray | None = None
-    theorem1: tuple[tuple[float, float], ...] | None = None
 
 
 def _scaled_density_curve(law: NoiseSpectrumLaw, edges, blue_hi, values) -> np.ndarray:
@@ -47,47 +34,50 @@ def _scaled_density_curve(law: NoiseSpectrumLaw, edges, blue_hi, values) -> np.n
     mass = continuous_mass(law)
     if mass <= 0.0 or law.lambda_plus <= law.lambda_minus:
         return np.zeros((0, 2))
-    s_lo = float(np.sqrt(law.lambda_minus))
-    s_hi = float(np.sqrt(law.lambda_plus))
-    s = np.linspace(s_lo, s_hi, DENSITY_POINTS)
-    g = density_sv_scale(law, s)
-    bin_width = edges[1] - edges[0]
+    s = np.linspace(float(np.sqrt(law.lambda_minus)), float(np.sqrt(law.lambda_plus)),
+                    DENSITY_POINTS)
     n_below = int(np.count_nonzero(np.asarray(values) <= blue_hi))
-    scale = n_below * bin_width / mass
-    return np.column_stack([s, scale * g])
+    scale = n_below * (edges[1] - edges[0]) / mass
+    return np.column_stack([s, scale * density_sv_scale(law, s)])
 
 
 def report_from_parts(spectrum: ProductSpectrum, q1: float, q2: float,
-                      truth_lines=None, theorem1=None) -> DiagnosticReport:
-    """Assemble a report from a spectrum and the rank-to-dimension ratios."""
+                      truth_lines=None, theorem1=None) -> dict:
+    """The report document for a spectrum and the rank-to-dimension ratios.
+
+    Keys, in order: ``spectrum``, ``green_band``, ``blue_band``, ``density``
+    (pairs ``(s, g(s))``, count-scaled), ``truth_lines`` and
+    ``theorem1_intervals`` when given, then ``histogram``.
+    """
     counts, edges = np.histogram(spectrum.values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     law = noise_law(q1, q2)
     curve = _scaled_density_curve(law, edges, spectrum.noise_threshold, spectrum.values)
-    return DiagnosticReport(
-        spectrum=spectrum,
-        green_band=(spectrum.bootstrap_threshold, 1.0),
-        blue_band=(0.0, spectrum.noise_threshold),
-        density_curve=curve,
-        histogram_edges=edges,
-        histogram_counts=counts,
-        truth_lines=None if truth_lines is None else np.asarray(truth_lines, dtype=float),
-        theorem1=theorem1,
-    )
+    report = {
+        "spectrum": np.asarray(spectrum.values, dtype=float).tolist(),
+        "green_band": [spectrum.bootstrap_threshold, 1.0],
+        "blue_band": [0.0, spectrum.noise_threshold],
+        "density": curve.tolist(),
+    }
+    if truth_lines is not None:
+        report["truth_lines"] = np.asarray(truth_lines, dtype=float).tolist()
+    if theorem1 is not None:
+        report["theorem1_intervals"] = [[lo, hi] for lo, hi in theorem1]
+    report["histogram"] = {"edges": edges.tolist(), "counts": counts.tolist()}
+    return report
 
 
-def build_report(result: DecompositionResult, truth=None) -> DiagnosticReport:
-    """Report for a decomposition result; truth-dependent fields appear iff ``truth`` is given.
+def build_report(result: DecompositionResult, truth=None) -> dict:
+    """Report for a decomposition result; truth-dependent keys appear iff ``truth`` is given.
 
     ``truth`` is a :class:`ppdecomp.simulate.SimTruth` (or anything exposing
     ``joint`` and ``individuals``). The noise density and truth-derived
-    fields refer to the pair of views whose spectrum the result reports.
+    keys refer to the pair of views whose spectrum the result reports.
     """
     n = result.joint.shape[0]
     i, j = result.binding_pair
     q1 = result.marginal_ranks[i] / n
     q2 = result.marginal_ranks[j] / n
-    truth_lines = None
-    intervals = None
+    truth_lines = intervals = None
     if truth is not None:
         x_i = np.hstack([truth.joint, truth.individuals[i]])
         x_j = np.hstack([truth.joint, truth.individuals[j]])
@@ -103,21 +93,21 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_svg(report: DiagnosticReport, width: int = 900, height: int = 480) -> str:
-    """Standalone SVG: grey histogram, translucent bands, density polyline, truth lines.
+def render_svg(report: dict) -> str:
+    """Standalone 900x480 SVG: grey histogram, translucent bands, density polyline, truth lines.
 
     Deterministic: identical reports render to byte-identical documents.
     """
-    if width < 100 or height < 100:
-        raise InvalidInput("width and height must be >= 100")
+    width, height = 900, 480
     left, right, top, bottom = 64, 18, 18, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    counts = report.histogram_counts
-    curve = report.density_curve
-    y_max = max(float(counts.max()) if counts.size else 0.0,
-                float(curve[:, 1].max()) if curve.size else 0.0, 1.0)
+    counts = report["histogram"]["counts"]
+    edges = report["histogram"]["edges"]
+    curve = report["density"]
+    g_max = float(max((g for _, g in curve), default=0.0))
+    y_max = max(float(max(counts, default=0.0)), g_max, 1.0)
 
     def sx(v):
         return left + v * plot_w
@@ -125,12 +115,11 @@ def render_svg(report: DiagnosticReport, width: int = 900, height: int = 480) ->
     def sy(v):
         return top + (1.0 - v / y_max) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    ]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">']
 
-    for (lo, hi), color in ((report.blue_band, "#4477cc"), (report.green_band, "#44aa66")):
+    for (lo, hi), color in ((report["blue_band"], "#4477cc"),
+                            (report["green_band"], "#44aa66")):
         w_px = (hi - lo) * plot_w
         if w_px >= 0.01:
             parts.append(
@@ -138,7 +127,6 @@ def render_svg(report: DiagnosticReport, width: int = 900, height: int = 480) ->
                 f'width="{_fmt(w_px)}" height="{_fmt(plot_h)}" fill="{color}" '
                 f'fill-opacity="0.25"/>')
 
-    edges = report.histogram_edges
     for k, c in enumerate(counts):
         if c <= 0:
             continue
@@ -149,18 +137,17 @@ def render_svg(report: DiagnosticReport, width: int = 900, height: int = 480) ->
             f'width="{_fmt(x1 - x0)}" height="{_fmt(top + plot_h - y0)}" '
             f'fill="#999999" stroke="#666666" stroke-width="0.5"/>')
 
-    if curve.size and float(curve[:, 1].max()) > 0.0:
+    if g_max > 0.0:
         pts = " ".join(f"{_fmt(sx(s))},{_fmt(sy(g))}" for s, g in curve)
         parts.append(
             f'<polyline class="density" points="{pts}" fill="none" '
             f'stroke="#223388" stroke-width="1.5"/>')
 
-    if report.truth_lines is not None:
-        for v in report.truth_lines:
-            parts.append(
-                f'<line class="truth-line" x1="{_fmt(sx(v))}" y1="{_fmt(top)}" '
-                f'x2="{_fmt(sx(v))}" y2="{_fmt(top + plot_h)}" '
-                f'stroke="#cc2222" stroke-width="1"/>')
+    for v in report.get("truth_lines", ()):
+        parts.append(
+            f'<line class="truth-line" x1="{_fmt(sx(v))}" y1="{_fmt(top)}" '
+            f'x2="{_fmt(sx(v))}" y2="{_fmt(top + plot_h)}" '
+            f'stroke="#cc2222" stroke-width="1"/>')
 
     axis_y = top + plot_h
     parts.append(f'<line class="axis" x1="{_fmt(left)}" y1="{_fmt(axis_y)}" '
@@ -188,47 +175,6 @@ def render_svg(report: DiagnosticReport, width: int = 900, height: int = 480) ->
     return "\n".join(parts) + "\n"
 
 
-def export_json(report: DiagnosticReport) -> str:
-    """Lossless JSON serialization; optional fields are omitted, not null."""
-    payload = {
-        "spectrum": [float(v) for v in report.spectrum.values],
-        "green_band": [report.green_band[0], report.green_band[1]],
-        "blue_band": [report.blue_band[0], report.blue_band[1]],
-        "density": [[float(s), float(g)] for s, g in report.density_curve],
-    }
-    if report.truth_lines is not None:
-        payload["truth_lines"] = [float(v) for v in report.truth_lines]
-    if report.theorem1 is not None:
-        payload["theorem1_intervals"] = [[lo, hi] for lo, hi in report.theorem1]
-    payload["histogram"] = {
-        "edges": [float(e) for e in report.histogram_edges],
-        "counts": [int(c) for c in report.histogram_counts],
-    }
-    return json.dumps(payload, indent=1) + "\n"
-
-
-def report_from_json(text: str) -> DiagnosticReport:
-    """Inverse of :func:`export_json`."""
-    payload = json.loads(text)
-    values = np.asarray(payload["spectrum"], dtype=float)
-    green = tuple(payload["green_band"])
-    blue = tuple(payload["blue_band"])
-    spectrum = ProductSpectrum(values=values, bootstrap_threshold=green[0],
-                               noise_threshold=blue[1])
-    theorem1 = None
-    if "theorem1_intervals" in payload:
-        theorem1 = tuple((lo, hi) for lo, hi in payload["theorem1_intervals"])
-    truth_lines = None
-    if "truth_lines" in payload:
-        truth_lines = np.asarray(payload["truth_lines"], dtype=float)
-    curve = np.asarray(payload["density"], dtype=float).reshape(-1, 2)
-    return DiagnosticReport(
-        spectrum=spectrum,
-        green_band=green,
-        blue_band=blue,
-        density_curve=curve,
-        histogram_edges=np.asarray(payload["histogram"]["edges"], dtype=float),
-        histogram_counts=np.asarray(payload["histogram"]["counts"], dtype=int),
-        truth_lines=truth_lines,
-        theorem1=theorem1,
-    )
+def export_json(report: dict) -> str:
+    """The report document as JSON text; optional keys are absent, not null."""
+    return json.dumps(report, indent=1) + "\n"

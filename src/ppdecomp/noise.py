@@ -91,14 +91,18 @@ def continuous_mass(law: NoiseSpectrumLaw) -> float:
     return 1.0 - law.mass_at_zero - law.mass_at_one
 
 
-def noise_density(law: NoiseSpectrumLaw, lam: float) -> float:
-    """Continuous density f(lambda); 0 outside the open support."""
-    if lam <= law.lambda_minus or lam >= law.lambda_plus:
-        return 0.0
-    if lam <= 0.0 or lam >= 1.0:
-        return 0.0
-    num = np.sqrt((law.lambda_plus - lam) * (lam - law.lambda_minus))
-    return float(num / (2.0 * np.pi * lam * (1.0 - lam)))
+def noise_density(law: NoiseSpectrumLaw, lam):
+    """Continuous density f(lambda), elementwise; 0 outside the open support.
+
+    A scalar ``lam`` gives a float, an array gives an array of its shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    inside = (lam > law.lambda_minus) & (lam < law.lambda_plus)
+    x = lam[inside]
+    out = np.zeros_like(lam)
+    out[inside] = (np.sqrt((law.lambda_plus - x) * (x - law.lambda_minus))
+                   / (2.0 * np.pi * x * (1.0 - x)))
+    return out if out.ndim else float(out)
 
 
 def noise_cdf(law: NoiseSpectrumLaw, lam: float) -> float:
@@ -136,10 +140,7 @@ def singular_value_threshold(law: NoiseSpectrumLaw) -> float:
 def density_sv_scale(law: NoiseSpectrumLaw, s) -> np.ndarray:
     """Density g(s) = 2 s f(s^2) on the singular-value axis."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros_like(s)
-    for i, si in enumerate(s):
-        out[i] = 2.0 * si * noise_density(law, si * si)
-    return out
+    return 2.0 * s * noise_density(law, s * s)
 
 
 def sample_noise_spectrum(n: int, r1: int, r2: int, seed: int) -> np.ndarray:

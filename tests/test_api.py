@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BenchmarkRow", "BootstrapConfig", "BootstrapInfeasible",
-    "DecompositionResult", "DiagnosticReport", "DimensionMismatch",
+    "DecompositionResult", "DimensionMismatch",
     "EpsilonEstimate", "InvalidInput", "NoiseSpectrumLaw", "ParseError",
     "ProductSpectrum", "RankSelection", "ScoreTriple", "SimConfig", "SimTruth",
     "Theorem2Report", "Truncation", "TruthOracle", "build_report",
@@ -25,7 +25,7 @@ PUBLIC = [
     "joint_basis", "joint_rank", "marchenko_pastur_median",
     "misspecify_ranks", "mp_median_sv", "noise_cdf", "noise_density",
     "noise_law", "orthonormalize", "principal_spectrum", "product_spectrum",
-    "read_matrix_csv", "render_svg", "report_from_json", "report_from_parts",
+    "read_matrix_csv", "render_svg", "report_from_parts",
     "rotate_align", "run_benchmark", "sample_noise_spectrum", "score",
     "select_rank", "singular_value_threshold", "spectral_norm",
     "subspace_distance", "theorem2_bounds", "truncate", "truth_oracle",
@@ -35,7 +35,7 @@ PUBLIC = [
 
 def test_all_lists_exactly_the_public_names():
     assert sorted(ppd.__all__) == sorted(PUBLIC)
-    assert len(set(ppd.__all__)) == len(PUBLIC) == 58
+    assert len(set(ppd.__all__)) == len(PUBLIC) == 56
     for name in PUBLIC:
         assert hasattr(ppd, name), name
 

@@ -297,6 +297,7 @@ def _ranked_views(tmp_path, ranks_flag):
 HOSTILE = {
     "decompose-rank-exceeds-view": lambda t: _ranked_views(t, ["--ranks", "99,2"]),
     "decompose-negative-rank": lambda t: _ranked_views(t, ["--ranks=-1,2"]),
+    "decompose-negative-seed": lambda t: _ranked_views(t, ["--seed", "-1"]),
     "result-non-numeric-scalar": lambda t: _edited_result(
         t, lambda d: d.update(epsilon1_hat="abc")),
     "result-ragged-columns": lambda t: _edited_result(
@@ -309,6 +310,14 @@ HOSTILE = {
         t, lambda d: d["joint"].update(ambient_dim=7)),
     "result-basis-non-finite": lambda t: _edited_result(
         t, lambda d: d["joint"]["columns"].__setitem__(0, [float("nan")] * 20)),
+    "result-basis-zero-ambient-dim": lambda t: _edited_result(
+        t, lambda d: d["joint"].update(ambient_dim=0, rank=0, columns=[])),
+    "result-spectrum-above-one": lambda t: _edited_result(
+        t, lambda d: d["spectrum"]["values"].__setitem__(0, 1.5)),
+    "result-threshold-nan": lambda t: _edited_result(
+        t, lambda d: d["spectrum"].update(bootstrap_threshold=float("nan"))),
+    "result-binding-pair-fractional": lambda t: _edited_result(
+        t, lambda d: d.update(binding_pair=[0.5, 1])),
     "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
     "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
     "truth-intervals-not-pairs": lambda t: _truth_sidecar(
@@ -317,9 +326,14 @@ HOSTILE = {
                                         "--out", str(t / "x.json")],
     "noise-spectrum-negative-rank": lambda t: ["noise-spectrum", "--n", "10", "--r1", "-1",
                                                "--r2", "2", "--out", str(t / "x.json")],
+    "noise-spectrum-negative-seed": lambda t: ["noise-spectrum", "--n", "40", "--r1", "5",
+                                               "--r2", "7", "--seed", "-5",
+                                               "--out", str(t / "x.json")],
     "view-not-utf8": _latin1_views,
     "simulate-zero-bootstrap-reps": lambda t: _sim_config(
         t, SIM_CONFIG.replace("bootstrap_reps = 8", "bootstrap_reps = 0")),
+    "simulate-negative-seed": lambda t: _sim_config(t, SIM_CONFIG.replace("seed = 3",
+                                                                          "seed = -3")),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,9 +6,8 @@ import numpy as np
 import pytest
 
 import ppdecomp as ppd
-from ppdecomp import (BootstrapConfig, InvalidInput, ProductSpectrum,
-                      build_report, export_json, render_svg, report_from_json,
-                      report_from_parts)
+from ppdecomp import (BootstrapConfig, ProductSpectrum, build_report, export_json,
+                      render_svg, report_from_parts)
 
 
 def make_result(snr=2.0, angle=50.0, seed=0, reps=20):
@@ -22,44 +22,42 @@ def make_result(snr=2.0, angle=50.0, seed=0, reps=20):
 def test_build_report_without_truth_omits_truth_fields():
     res, _ = make_result()
     report = build_report(res)
-    assert report.truth_lines is None
-    assert report.theorem1 is None
-    assert report.histogram_counts.sum() == res.spectrum.values.size
-    assert report.histogram_counts.size == 40
-    assert report.histogram_edges[0] == 0.0 and report.histogram_edges[-1] == 1.0
+    assert "truth_lines" not in report
+    assert "theorem1_intervals" not in report
+    counts, edges = report["histogram"]["counts"], report["histogram"]["edges"]
+    assert sum(counts) == res.spectrum.values.size
+    assert len(counts) == 40
+    assert edges[0] == 0.0 and edges[-1] == 1.0
 
 
 def test_build_report_with_truth():
     res, truth = make_result()
     report = build_report(res, truth=truth)
-    assert report.truth_lines is not None
-    assert report.truth_lines.shape == (8,)
-    assert len(report.theorem1) == 3
-    for lo, hi in report.theorem1:
+    assert len(report["truth_lines"]) == 8
+    assert len(report["theorem1_intervals"]) == 3
+    for lo, hi in report["theorem1_intervals"]:
         assert 0.0 <= lo <= hi <= 1.0
 
 
 def test_build_report_band_geometry():
     res, _ = make_result()
     report = build_report(res)
-    assert report.green_band[1] == 1.0
-    assert report.blue_band[0] == 0.0
-    assert report.green_band[0] == res.spectrum.bootstrap_threshold
-    assert report.blue_band[1] == res.spectrum.noise_threshold
+    assert report["green_band"] == [res.spectrum.bootstrap_threshold, 1.0]
+    assert report["blue_band"] == [0.0, res.spectrum.noise_threshold]
 
 
 def test_build_report_noiseless_green_band_degenerates():
     res, _ = make_result(snr=math.inf, reps=6)
     report = build_report(res)
-    assert report.green_band[0] == pytest.approx(1.0, abs=1e-8)
+    assert report["green_band"][0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_build_report_density_support():
     res, _ = make_result()
     report = build_report(res)
     law = ppd.noise_law(res.marginal_ranks[0] / 50, res.marginal_ranks[1] / 50)
-    assert report.density_curve[0, 0] == pytest.approx(math.sqrt(law.lambda_minus))
-    assert report.density_curve[-1, 0] == pytest.approx(math.sqrt(law.lambda_plus))
+    assert report["density"][0][0] == pytest.approx(math.sqrt(law.lambda_minus))
+    assert report["density"][-1][0] == pytest.approx(math.sqrt(law.lambda_plus))
 
 
 def test_build_report_fig_style_band_ordering():
@@ -72,9 +70,9 @@ def test_build_report_fig_style_band_ordering():
     res = ppd.decompose(views[0], views[1], ranks=(10, 9),
                         bootstrap=BootstrapConfig(replicates=20, seed=4))
     report = build_report(res, truth=truth)
-    assert report.green_band[0] > report.blue_band[1]
-    counts = report.histogram_counts
-    edges = report.histogram_edges[:-1]
+    assert report["green_band"][0] > report["blue_band"][1]
+    counts = np.asarray(report["histogram"]["counts"])
+    edges = np.asarray(report["histogram"]["edges"][:-1])
     assert counts[edges >= 0.95].sum() >= 4                      # joint cluster
     mid = (edges >= 0.5) & (edges <= 0.8)
     assert counts[mid].sum() >= 3                                # rotated cluster
@@ -101,10 +99,21 @@ def test_render_svg_truth_lines_present_when_given():
     assert svg.count('class="truth-line"') == 8
 
 
-def test_render_svg_empty_spectrum_axes_only():
+def empty_report():
     spectrum = ProductSpectrum(values=np.zeros(0), bootstrap_threshold=1.0 - 1e-9,
                                noise_threshold=0.0)
-    svg = render_svg(report_from_parts(spectrum, 0.0, 0.0))
+    return report_from_parts(spectrum, 0.0, 0.0)
+
+
+def full_report():
+    spectrum = ProductSpectrum(values=np.array([0.99, 0.7, 0.65, 0.2]),
+                               bootstrap_threshold=0.95, noise_threshold=0.55)
+    return report_from_parts(spectrum, 0.3, 0.25, truth_lines=[1.0, 0.72, 0.6],
+                             theorem1=((0.93, 1.0), (0.6, 0.75), (0.0, 0.55)))
+
+
+def test_render_svg_empty_spectrum_axes_only():
+    svg = render_svg(empty_report())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert 'class="bar"' not in svg
     assert "<polyline" not in svg
@@ -116,48 +125,50 @@ def test_render_svg_deterministic():
     assert render_svg(report) == render_svg(report)
 
 
-def test_render_svg_rejects_tiny_canvas():
-    with pytest.raises(InvalidInput):
-        render_svg(hand_report(), width=50, height=400)
+# sha256 of the rendered documents; a change to any output byte shows here.
+# decompose output is left out on purpose: BLAS thread counts move its last digits.
+PINNED = {
+    "hand": ("6c6b2d64d85c116ebd264db0ef2a732b429f84f2c73a373db0da44e24535c7b8",
+             "5c3a0e5a09a01306b07c672b39c856fe5cf9dbdfc42cf4d339b88ead3d67f6df"),
+    "empty": ("50a07a2a299d83d0537412d106dd6fad736f0967e9add3a52eca049ed1cbdc23",
+              "82a8d25ca0a63b263f976a4f96f49a429c54461af2217b2d68aeed37fac62914"),
+    "full": ("a58d6006f979fc5b2a9a9e783353597443c18528cb9411052e715efbcc13cc93",
+             "30b424b7a16124682ad94a5ed6faaca83bdddd09b4d8470f5bc78fb8c98f01cf"),
+}
 
 
-def assert_reports_equal(a, b):
-    assert np.array_equal(a.spectrum.values, b.spectrum.values)
-    assert a.spectrum.bootstrap_threshold == b.spectrum.bootstrap_threshold
-    assert a.spectrum.noise_threshold == b.spectrum.noise_threshold
-    assert a.green_band == b.green_band and a.blue_band == b.blue_band
-    assert np.array_equal(a.density_curve, b.density_curve)
-    assert np.array_equal(a.histogram_edges, b.histogram_edges)
-    assert np.array_equal(a.histogram_counts, b.histogram_counts)
-    if a.truth_lines is None:
-        assert b.truth_lines is None
-    else:
-        assert np.array_equal(a.truth_lines, b.truth_lines)
-    assert a.theorem1 == b.theorem1
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_bytes_are_pinned(name):
+    report = {"hand": hand_report, "empty": empty_report, "full": full_report}[name]()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (render_svg(report), export_json(report)))
+    assert digests == PINNED[name]
 
 
 def test_json_round_trip_plain():
-    report = hand_report()
-    assert_reports_equal(report, report_from_json(export_json(report)))
+    for report in (hand_report(), empty_report(), full_report()):
+        assert json.loads(export_json(report)) == report
 
 
 def test_json_round_trip_with_truth_fields():
     res, truth = make_result(seed=5)
     report = build_report(res, truth=truth)
-    assert_reports_equal(report, report_from_json(export_json(report)))
+    assert "truth_lines" in report and "theorem1_intervals" in report
+    assert json.loads(export_json(report)) == report
 
 
 def test_json_omits_absent_optionals():
     payload = json.loads(export_json(hand_report()))
     assert "truth_lines" not in payload
     assert "theorem1_intervals" not in payload
-    assert set(payload) == {"spectrum", "green_band", "blue_band", "density",
-                            "histogram"}
+    assert list(payload) == ["spectrum", "green_band", "blue_band", "density", "histogram"]
+    assert list(full_report()) == ["spectrum", "green_band", "blue_band", "density",
+                                   "truth_lines", "theorem1_intervals", "histogram"]
 
 
 def test_json_floats_round_trip_exactly():
     report = hand_report()
     payload = json.loads(export_json(report))
-    assert payload["blue_band"][1] == report.blue_band[1]
-    for (s, g), (s2, g2) in zip(report.density_curve, payload["density"]):
+    assert payload["blue_band"][1] == report["blue_band"][1]
+    for (s, g), (s2, g2) in zip(report["density"], payload["density"]):
         assert s == s2 and g == g2

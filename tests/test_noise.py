@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ppdecomp import (InvalidInput, noise_cdf, noise_density,
+from ppdecomp import (InvalidInput, density_sv_scale, noise_cdf, noise_density,
                       noise_law, sample_noise_spectrum,
                       singular_value_threshold)
 
@@ -69,6 +69,27 @@ def test_density_small_near_edges():
     law = noise_law(0.2, 0.3)
     assert 0.0 <= noise_density(law, law.lambda_minus + 1e-9) <= 1e-3
     assert 0.0 <= noise_density(law, law.lambda_plus - 1e-9) <= 1e-3
+
+
+def pointwise_density(law, lam):
+    # The one-point-at-a-time formula that the array evaluation replaced.
+    if lam <= law.lambda_minus or lam >= law.lambda_plus:
+        return 0.0
+    num = np.sqrt((law.lambda_plus - lam) * (lam - law.lambda_minus))
+    return float(num / (2.0 * np.pi * lam * (1.0 - lam)))
+
+
+@pytest.mark.parametrize("q1,q2", [(0.2, 0.3), (0.1, 0.1), (0.7, 0.6), (0.5, 0.5)])
+def test_density_on_arrays_matches_pointwise_formula_bit_for_bit(q1, q2):
+    law = noise_law(q1, q2)
+    lams = np.concatenate([np.linspace(law.lambda_minus, law.lambda_plus, 201),
+                           [-0.5, 0.0, 1.0, 1.5]])
+    expected = np.array([pointwise_density(law, lam) for lam in lams])
+    assert np.array_equal(noise_density(law, lams), expected)
+    s = np.sqrt(np.clip(lams, 0.0, 1.0))
+    assert np.array_equal(density_sv_scale(law, s),
+                          np.array([2.0 * si * pointwise_density(law, si * si) for si in s]))
+    assert isinstance(noise_density(law, lams[100]), float)
 
 
 def test_noise_cdf_normalization():
