@@ -12,12 +12,16 @@ the noise is factored as e^T = Q R and only R is kept: R^T holds e's
 coordinates in the orthonormal frame Q (m = min(n, p) columns). Each
 replicate is handed to ``truncate`` as
 
-    z = [U S V_m^T + R^T,  U S R_V^T],   R_V the R factor of V[m:],
+    z = [U S V_m^T + R^T,  U S K],   K K^T = V[m:]^T V[m:],
 
-with V_m the first m rows of its Haar right basis V. Then z z^T = y y^T for
-y = U S ([Q Q_perp] V)^T + e, an exact replicate since [Q Q_perp] V is Haar
-too. The second block, at most r columns, is empty unless p > n, so a wide
-replicate shrinks from n x p to n x (n + r).
+with V_m the first m rows of its Haar (p, r) right basis V. Then
+z z^T = y y^T for y = U S ([Q Q_perp] V)^T + e, an exact replicate since
+[Q Q_perp] V is Haar too. The second block, at most r columns, is empty
+unless p > n, so a wide replicate shrinks from n x p to n x (n + r). V itself
+is not formed either: ``_row_basis_rng`` draws V_m and K with the law they
+have under V, in O(m r^2) through a Bartlett factor of the Wishart Gram of
+V's Gaussian rows past m. Only the noise imputation and the QR of e^T, once
+per pair, depend on p.
 
 Because e is fixed for the pair, so is a bound on the replicate's tail: with
 at most r nonzero signal strengths, s_{r+1}(U S V^T + e) <= |e|_2 = |R|_2
@@ -147,18 +151,44 @@ def _row_frame(e):
     return np.linalg.qr(e.T, mode="r").T
 
 
-def _frame_replicate(us, v, rt) -> np.ndarray:
+def _row_basis_rng(p, n, r, rng):
+    """(v_m, k) for a Haar (p, r) frame v, drawn without forming v: v_m = v[:m]
+    with m = min(n, p), and k with k k^T = v[m:]^T v[m:] (None when p <= n).
+
+    The sign-fixed QR of a Gaussian G = [G_m; G_rest] is v = G R^-1, with R
+    the upper Cholesky factor of G_m^T G_m + W and W = G_rest^T G_rest. So
+    v_m = G_m R^-1 and k = R^-T L for any L with L L^T = W. W is
+    Wishart_r(p - m, I): for p - m >= r, L is its Bartlett factor (Bartlett,
+    1933; Anderson, 2003, ch. 7), lower triangular with sqrt(chi^2_{p-m-i})
+    on the diagonal and N(0, 1) below it; otherwise L = G_rest^T. Every step
+    is O(m r^2). For p <= n this is :func:`ppdecomp.linalg.haar_basis`.
+    """
+    m = min(n, p)
+    if p == m:
+        return haar_basis(p, r, rng), None
+    gm = rng.standard_normal((m, r))
+    d = p - m
+    if d >= r:
+        low = np.tril(rng.standard_normal((r, r)), -1)
+        np.fill_diagonal(low, np.sqrt(rng.chisquare(d - np.arange(r))))
+    else:
+        low = rng.standard_normal((d, r)).T
+    c_inv = np.linalg.inv(np.linalg.cholesky(gm.T @ gm + low @ low.T))   # R^-T
+    return gm @ c_inv.T, c_inv @ low
+
+
+def _frame_replicate(us, v_m, k, rt) -> np.ndarray:
     """Stand-in z with z z^T = y y^T for the replicate y = us (O v)^T + e.
 
-    O = [q q_perp] completes the noise's row frame: the first m rows of ``v``
-    fold into the noise's coordinates, and the rest, of Gram R_v^T R_v, are
-    carried by the extra block ``us R_v^T``.
+    O = [q q_perp] completes the noise's row frame: the first m rows of the
+    Haar frame v, ``v_m``, fold into the noise's coordinates, and the rest,
+    of Gram k k^T, are carried by the extra block ``us k`` (``k`` is None
+    when p <= n, where v lies inside the row frame).
     """
-    m = rt.shape[1]
-    z = us @ v[:m].T + rt
-    if v.shape[0] == m:  # p <= n: v lies inside the noise's row frame
+    z = us @ v_m.T + rt
+    if k is None:
         return z
-    return np.hstack([z, us @ np.linalg.qr(v[m:], mode="r").T])
+    return np.hstack([z, us @ k])
 
 
 def _tail_bound(trunc: Truncation, k: int, rt):
@@ -271,10 +301,10 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
         u1b, u2b = _haar_pair_rng(n, r1, r2, rng)
         if cfg.variant == "rotational":
             u2b = rotate_align(u1b, u2b, sigma_m)
-        v1b = haar_basis(y1.shape[1], r1, rng)
-        v2b = haar_basis(y2.shape[1], r2, rng)
-        u1b_hat = truncate(_frame_replicate(u1b * s1, v1b, rt1), r1, bound1).basis
-        u2b_hat = truncate(_frame_replicate(u2b * s2, v2b, rt2), r2, bound2).basis
+        v1b = _row_basis_rng(y1.shape[1], n, r1, rng)
+        v2b = _row_basis_rng(y2.shape[1], n, r2, rng)
+        u1b_hat = truncate(_frame_replicate(u1b * s1, *v1b, rt1), r1, bound1).basis
+        u2b_hat = truncate(_frame_replicate(u2b * s2, *v2b, rt2), r2, bound2).basis
         vals[b] = min(epsilon_pair(u1b[:, :k1], u2b[:, :k2], u1b_hat, u2b_hat)[0], 1.0)
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,

@@ -278,6 +278,11 @@ def _cmd_diagnose(args) -> int:
                     [float(lo), float(hi)] for lo, hi in sidecar["theorem1_intervals"]]
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"{args.truth}: not a truth sidecar ({exc})") from None
+        intervals = report.get("theorem1_intervals", [])
+        ends = [*report.get("truth_lines", []), *(v for pair in intervals for v in pair)]
+        if not all(0.0 <= v <= 1.0 for v in ends) or any(lo > hi for lo, hi in intervals):
+            raise InvalidInput(f"{args.truth}: truth lines and interval ends must be finite "
+                               f"and lie in [0, 1], with lo <= hi")
         report["histogram"] = histogram
     if args.svg:
         atomic_write_text(args.svg, render_svg(report))

@@ -10,14 +10,41 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
 
 
+def _loadtxt(path, has_header: bool) -> np.ndarray:
+    """The matrix as ``np.loadtxt`` parses it.
+
+    ``loadtxt`` skips empty lines, which ``read_matrix_csv`` rejects, so
+    input with one raises ValueError here; and it only warns about an input
+    without data rows, so the warning is raised.
+    """
+    with open(path, "rb") as fh:
+        if b"" in fh.read().splitlines():   # lines end in LF, CR LF or CR
+            raise ValueError("empty line")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(path, delimiter=",", comments=None, skiprows=int(has_header),
+                          ndmin=2, encoding="utf-8")
+
+
 def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
-    """Read a rectangular numeric CSV into a float matrix."""
+    """Read a rectangular numeric CSV into a float matrix.
+
+    Valid input is parsed by ``np.loadtxt``. Input that it rejects, and any
+    input with an empty line, is read again cell by cell with Python's
+    ``float``, which decides what is accepted and reports the first bad line
+    and column.
+    """
+    try:
+        return _loadtxt(path, has_header)
+    except (OSError, ValueError, Warning):
+        pass
     rows = []
     width = None
     try:

@@ -5,11 +5,11 @@ import pytest
 
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       SimConfig, decompose, epsilon_pair, estimate_epsilon1,
-                      generate, misspecify_ranks, principal_spectrum,
+                      generate, haar_basis, misspecify_ranks, principal_spectrum,
                       rotate_align, Truncation, truncate)
 import ppdecomp.bootstrap
 from ppdecomp.bootstrap import (_frame_replicate, _haar_pair_rng, _noise_replicate_rng,
-                                _row_frame, _tail_bound)
+                                _row_basis_rng, _row_frame, _tail_bound)
 from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -93,6 +93,72 @@ def test_noise_replicate_restores_noise_energy():
     assert abs(np.mean(ratios) - 1.0) <= 0.1
 
 
+def _qr_row_basis(v, n):
+    """Reference (v_m, k) of an explicit Haar frame v: its first m = min(n, p)
+    rows, and the transposed R factor of the rest (None when p <= n)."""
+    m = min(n, v.shape[0])
+    return v[:m], (np.linalg.qr(v[m:], mode="r").T if v.shape[0] > m else None)
+
+
+def _haar_row_basis(p, n, r, rng):
+    """Reference row draw: a full Haar (p, r) frame, read as ``_qr_row_basis``."""
+    return _qr_row_basis(haar_basis(p, r, rng), n)
+
+
+@pytest.mark.parametrize("p,n,r", [(12, 20, 5), (20, 20, 5), (23, 20, 5), (24, 20, 5),
+                                   (25, 20, 5), (400, 20, 5), (1572, 167, 16)],
+                         ids=["tall", "square", "barely-wide", "wide-by-r-1", "wide-by-r",
+                              "wide", "walkthrough"])
+def test_row_basis_draw_is_orthonormal(p, n, r):
+    # v_m^T v_m + k k^T = v^T v = I in every branch: p = m, 0 < p - m < r,
+    # and p - m >= r (the Bartlett factor).
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        v_m, k = _row_basis_rng(p, n, r, rng)
+        assert v_m.shape == (min(n, p), r)
+        gram = v_m.T @ v_m
+        if p <= n:
+            assert k is None
+        else:
+            assert k.shape == (r, min(p - n, r))
+            gram += k @ k.T
+        assert np.max(np.abs(gram - np.eye(r))) <= 1e-12
+    if 0 < p - n < r:
+        # G_m and G_rest are consecutive rows of the Gaussian that
+        # haar_basis(p, r) would draw, so v_m is its first m rows.
+        v_m, _ = _row_basis_rng(p, n, r, np.random.default_rng(0))
+        assert np.allclose(v_m, haar_basis(p, r, np.random.default_rng(0))[:n], atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n,r", [(100, 50, 9), (56, 50, 9), (400, 30, 4)],
+                         ids=["wide", "barely-wide", "very-wide"])
+def test_row_basis_draw_has_haar_moments(p, n, r):
+    # For a Haar (p, r) frame, E[v_m^T v_m] = (n / p) I. A wrong chi-square
+    # degree or a Bartlett factor built upper instead of lower triangular
+    # moves some diagonal entry by many standard errors.
+    rng = np.random.default_rng(p + r)
+    grams = np.array([v_m.T @ v_m for v_m, _ in
+                      (_row_basis_rng(p, n, r, rng) for _ in range(3000))])
+    diag = grams[:, np.arange(r), np.arange(r)]
+    se = diag.std(axis=0, ddof=1) / np.sqrt(diag.shape[0])
+    assert np.all(np.abs(diag.mean(axis=0) - n / p) <= 4.0 * se)
+
+
+def test_row_basis_draw_never_forms_a_wide_frame(monkeypatch):
+    # Nothing p-sized is drawn per replicate: every Haar frame the bootstrap
+    # draws of a 30 x 400 pair lives in R^30.
+    sizes = []
+    haar = ppdecomp.bootstrap.haar_basis
+    monkeypatch.setattr(ppdecomp.bootstrap, "haar_basis",
+                        lambda d, r, rng: sizes.append(d) or haar(d, r, rng))
+    rng = np.random.default_rng(9)
+    y1, y2 = rng.standard_normal((30, 400)), rng.standard_normal((30, 400))
+    est = estimate_epsilon1(y1, y2, truncate(y1, 4), truncate(y2, 3), 1.0, 1.0,
+                            BootstrapConfig(replicates=5, seed=2))
+    assert est.per_replicate.shape == (5,)
+    assert sizes and max(sizes) <= 30
+
+
 @pytest.mark.parametrize("n,p,noise", [(20, 40, 1.0), (20, 23, 1.0), (20, 20, 1.0),
                                        (20, 12, 1.0), (20, 40, 0.0), (20, 12, 0.0)],
                          ids=["wide", "barely-wide", "square", "tall", "wide-e0", "tall-e0"])
@@ -109,7 +175,7 @@ def test_frame_replicate_has_the_replicate_gram(n, p, noise):
     o = np.linalg.qr(e.T, mode="complete")[0]
     y = us @ (o @ v).T + e
     rt = _row_frame(e)
-    z = _frame_replicate(us, v, rt)
+    z = _frame_replicate(us, *_qr_row_basis(v, n), rt)
     assert z.shape == (n, n + min(p - n, r) if p > n else p)
     assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
     assert np.max(np.abs(projector(truncate(z, r).basis)
@@ -251,8 +317,32 @@ def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
 
     new = [estimates(seed) for seed in range(20)]
     monkeypatch.setattr(ppdecomp.bootstrap, "_row_frame", lambda e: e)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng",
+                        lambda p, n, r, rng: (haar_basis(p, r, rng), None))
     monkeypatch.setattr(ppdecomp.bootstrap, "_frame_replicate",
-                        lambda us, v, e: _q_frame_replicate(us, v, *_q_row_frame(e)))
+                        lambda us, v, _, e: _q_frame_replicate(us, v, *_q_row_frame(e)))
+    old = [estimates(seed) for seed in range(20)]
+    z = [(a.epsilon1_hat - b.epsilon1_hat)
+         / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
+         for a, b in zip(new, old)]
+    assert abs(np.mean(z)) <= 1.0
+
+
+@pytest.mark.parametrize("dims", [(80, 100), (54, 56)], ids=["wide", "barely-wide"])
+def test_epsilon1_same_law_as_full_width_row_draw(monkeypatch, dims):
+    # The Bartlett row draw (p - m >= r) and the direct one (p - m < r) have
+    # the law of the first m rows and the rest's Gram of a full Haar (p, r)
+    # frame, so epsilon_1 may differ only within its Monte-Carlo error. The
+    # reference draws that frame and takes the R factor of its last p - m rows.
+    # Barely wide, both draws read the same Gaussian, so they agree to round-off.
+    def estimates(seed):
+        cfg = SimConfig(snr=2.0, seed=seed, **{**FIVE_CFG, "dims": dims, "angle_deg": 30.0})
+        views, _, truncs, sigmas = prepared_views(cfg)
+        return estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
+                                 BootstrapConfig(replicates=100, seed=seed + 300))
+
+    new = [estimates(seed) for seed in range(20)]
+    monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng", _haar_row_basis)
     old = [estimates(seed) for seed in range(20)]
     z = [(a.epsilon1_hat - b.epsilon1_hat)
          / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -57,6 +58,120 @@ def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, m)
     assert np.array_equal(read_matrix_csv(path), m)
+
+
+def _loop_read_matrix_csv(path, has_header=False):
+    """Reference reader: the cell-by-cell loop that ``read_matrix_csv`` falls back on."""
+    rows = []
+    width = None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, fields in enumerate(csv.reader(fh), start=1):
+                if has_header and lineno == 1:
+                    continue
+                if width is None:
+                    width = len(fields)
+                if len(fields) != width:
+                    raise ParseError(
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {width}",
+                        line=lineno)
+                parsed = []
+                for col, cell in enumerate(fields, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric cell {cell!r} at line {lineno}, column {col}",
+                            line=lineno, col=col) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows or width == 0:
+        raise InvalidInput(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def _outcome(read, path, has_header):
+    """The array's shape and bytes, or the error's type, text, line and column."""
+    try:
+        a = read(path, has_header)
+    except (InvalidInput, ParseError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+CSV_CORPUS = {
+    "plain": b"1,2\n3,4\n",
+    "blank-line-middle": b"1,2\n\n3,4\n",
+    "blank-line-end": b"1,2\n3,4\n\n",
+    "blank-line-start": b"\n1,2\n3,4\n",
+    "blank-line-one-column": b"1\n\n2\n",
+    "blank-line-crlf": b"1,2\r\n\r\n3,4\r\n",
+    "blank-line-cr": b"1,2\r\r3,4\r",
+    "whitespace-line": b"1,2\n  \n3,4\n",
+    "underscore": b"1_000,2\n3,4\n",
+    "quoted": b'"1.5",2\n3,4\n',
+    "quoted-comma": b'"1,5",2\n3,4\n',
+    "hash-line": b"# note\n1,2\n",
+    "hash-cell": b"1,2 # note\n3,4\n",
+    "crlf": b"1,2\r\n3,4\r\n",
+    "cr": b"1,2\r3,4\r",
+    "no-final-newline": b"1,2\n3,4",
+    "nan-inf": b"nan,inf\n-inf,NaN\n",
+    "signed-nan-infinity": b"-nan,+Infinity\n-infinity,+nan\n",
+    "nan-payload": b"nan(12),1\n",
+    "overflow-underflow": b"1e500,-1e500\n1e-400,5e-324\n",
+    "hex-float": b"0x1p3,1\n",
+    "hex-int": b"0x10,1\n",
+    "empty-cell": b"1,,2\n3,4,5\n",
+    "trailing-comma": b"1,2,\n3,4,\n",
+    "whitespace-cell": b"1, ,2\n",
+    "padded-cells": b" 1 ,\t2 \n3,4\n",
+    "bom": b"\xef\xbb\xbf1,2\n3,4\n",
+    "non-utf8": b"1,2\n\xe9,3\n",
+    "nul": b"1\x00,2\n",
+    "form-feed-inside": b"1\x0c2,3\n",
+    "non-ascii-digits": "\u0661,2\n\uff11,3\n".encode(),
+    "ragged": b"1,2\n3\n",
+    "single-cell": b"5\n",
+    "empty": b"",
+    "newline-only": b"\n",
+    "multiline-quoted-header": b'"a\n1",b\n2,3\n',
+    "header-only": b"a,b\n",
+}
+
+
+@pytest.mark.parametrize("has_header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("case", sorted(CSV_CORPUS))
+def test_read_matrix_csv_agrees_with_the_loop(tmp_path, case, has_header):
+    # np.loadtxt parses what it can; everything else, and any input with an
+    # empty line (which loadtxt would skip), goes to the loop. Either way the
+    # reader must accept and reject as the loop does, give the same array bit
+    # for bit, and raise the same error text.
+    path = tmp_path / "m.csv"
+    path.write_bytes(CSV_CORPUS[case])
+    assert _outcome(read_matrix_csv, path, has_header) == _outcome(
+        _loop_read_matrix_csv, path, has_header)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data(),
+       fmt=st.sampled_from(["repr", "%.17g"]), has_header=st.booleans())
+def test_read_matrix_csv_float_text_property(shape, data, fmt, has_header):
+    # Any float64 written as repr or %.17g reads back bit for bit as the loop
+    # reads it, and equal to the written value (NaN payloads aside).
+    cells = data.draw(st.lists(st.floats(width=64), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]), label="cells")
+    m = np.array(cells, dtype=float).reshape(shape)
+    text = (lambda v: repr(float(v))) if fmt == "repr" else (lambda v: "%.17g" % v)
+    lines = ["a" + ",b" * (shape[1] - 1)] if has_header else []
+    lines += [",".join(text(v) for v in row) for row in m]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = read_matrix_csv(path, has_header)
+        assert got.tobytes() == _loop_read_matrix_csv(path, has_header).tobytes()
+    assert np.array_equal(got, m, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +437,11 @@ HOSTILE = {
     "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
     "truth-intervals-not-pairs": lambda t: _truth_sidecar(
         t, {"theorem1_intervals": [[0.1, 0.2, 0.3], 1]}),
+    "truth-nan-line": lambda t: _truth_sidecar(t, {"truth_lines": [float("nan"), 0.5]}),
+    "truth-infinite-interval": lambda t: _truth_sidecar(
+        t, {"theorem1_intervals": [[float("inf"), 2.0], [0.0, 1.0]]}),
+    "truth-reversed-interval": lambda t: _truth_sidecar(
+        t, {"theorem1_intervals": [[0.9, 0.2]]}),
     "noise-spectrum-zero-n": lambda t: ["noise-spectrum", "--n", "0", "--r1", "0", "--r2", "0",
                                         "--out", str(t / "x.json")],
     "noise-spectrum-negative-rank": lambda t: ["noise-spectrum", "--n", "10", "--r1", "-1",
