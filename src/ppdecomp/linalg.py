@@ -5,6 +5,8 @@ Conventions used throughout the package:
 * a matrix is a 2-D ``float64`` array with finite entries;
 * a subspace of R^n is represented by an ``(n, r)`` array with orthonormal
   columns (``r = 0`` encodes the trivial subspace ``{0}``);
+* a stack of matrices is an ``(..., n, p)`` array, one matrix per leading
+  index; routines that take stacks say so;
 * spectra of products of projections are always computed from the cross-Gram
   ``U1.T @ U2`` of the bases, never from ``n x n`` projector matrices.
 """
@@ -18,12 +20,14 @@ from .exceptions import DimensionMismatch, InvalidInput
 RANK_TOL = 1e-10
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float array, raising InvalidInput otherwise."""
+def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-D float array (with ``stack``, a stack of them),
+    raising InvalidInput otherwise."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-D, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
+        kind = "2-D or a stack of 2-D arrays" if stack else "2-D"
+        raise InvalidInput(f"{name} must be {kind}, got shape {a.shape}")
+    if 0 in a.shape:
         raise InvalidInput(f"{name} must have at least one row and column, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} contains non-finite entries")
@@ -84,24 +88,42 @@ def subspace_distance(u1, u2) -> float:
     return float(min(max(r12, r21), 1.0))
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value; 0 for an empty matrix."""
+def mt(a) -> np.ndarray:
+    """Transpose of every matrix in a stack: (..., n, p) -> (..., p, n)."""
+    return a.swapaxes(-1, -2)
+
+
+def spectral_norm(a):
+    """Largest singular value, 0 for an empty matrix; an array of them for a stack."""
     a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        if a.size == 0:
+            return np.zeros(a.shape[:-2])
+        return np.linalg.norm(a, 2, axis=(-2, -1))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def haar_basis(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthonormal (n, r) frame from a QR of a Gaussian matrix."""
+def haar_basis(n: int, r: int, rng) -> np.ndarray:
+    """Haar-distributed orthonormal (n, r) frame from a QR of a Gaussian matrix.
+
+    ``rng`` is a Generator, or a sequence of them for a stack (len(rng), n, r)
+    of independent frames, frame i drawn from ``rng[i]`` as a single call
+    would draw it; the QRs then run as one stacked call.
+    """
     if r > n:
         raise InvalidInput(f"rank {r} exceeds ambient dimension {n}")
-    if r == 0:
-        return np.zeros((n, 0))
-    g = rng.standard_normal((n, r))
-    q, rr = np.linalg.qr(g)
-    # Fix the QR sign ambiguity so the frame is exactly Haar distributed.
-    return q * np.sign(np.diag(rr))
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    q = np.empty((len(rngs), n, r))
+    if r > 0:
+        for gen, out in zip(rngs, q):
+            gen.standard_normal(out=out)
+        q, rr = np.linalg.qr(q)
+        # Fix the QR sign ambiguity so the frame is exactly Haar distributed.
+        q *= np.sign(rr.diagonal(0, -2, -1))[..., None, :]
+    return q[0] if single else q
 
 
 def reduced_coords(*bases: np.ndarray):

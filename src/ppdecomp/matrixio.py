@@ -18,19 +18,40 @@ from .exceptions import InvalidInput, ParseError
 
 
 def _loadtxt(path, has_header: bool) -> np.ndarray:
-    """The matrix as ``np.loadtxt`` parses it.
+    """The matrix as ``np.loadtxt`` parses it, from one read of the file.
 
-    ``loadtxt`` skips empty lines, which ``read_matrix_csv`` rejects, so
-    input with one raises ValueError here; and it only warns about an input
-    without data rows, so the warning is raised.
+    ``loadtxt`` skips empty lines, which ``read_matrix_csv`` rejects, and
+    reads some non-ASCII cells (``1\u00a0``) that the dialect excludes, so
+    input with either raises ValueError here. ``loadtxt`` only warns about an
+    input without data rows, so the warning is raised.
     """
     with open(path, "rb") as fh:
-        if b"" in fh.read().splitlines():   # lines end in LF, CR LF or CR
-            raise ValueError("empty line")
+        data = fh.read()
+    if not data.isascii():
+        raise ValueError("non-ASCII input")
+    lines = data.splitlines()   # lines end in LF, CR LF or CR
+    del data
+    if b"" in lines:
+        raise ValueError("empty line")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(path, delimiter=",", comments=None, skiprows=int(has_header),
-                          ndmin=2, encoding="utf-8")
+        return np.loadtxt((line.decode("ascii") for line in lines), delimiter=",",
+                          comments=None, skiprows=int(has_header), ndmin=2)
+
+
+def _cell(text: str, path, lineno: int, col: int) -> float:
+    """``float(text)`` for a cell of the documented dialect, else ParseError.
+
+    ``float`` also reads digit-group underscores (``1_000``) and non-ASCII
+    digits and spaces (``\u0661``, ``\uff11``); the dialect has neither.
+    """
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{path}: non-numeric cell {text!r} at line {lineno}, column {col}",
+                         line=lineno, col=col) from None
 
 
 def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
@@ -39,7 +60,8 @@ def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     Valid input is parsed by ``np.loadtxt``. Input that it rejects, and any
     input with an empty line, is read again cell by cell with Python's
     ``float``, which decides what is accepted and reports the first bad line
-    and column.
+    and column; cells with an underscore or a non-ASCII character are
+    rejected there.
     """
     try:
         return _loadtxt(path, has_header)
@@ -59,15 +81,8 @@ def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
                     raise ParseError(
                         f"{path}: line {lineno} has {len(fields)} fields, expected {width}",
                         line=lineno)
-                parsed = []
-                for col, cell in enumerate(fields, start=1):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric cell {cell!r} at line {lineno}, column {col}",
-                            line=lineno, col=col) from None
-                rows.append(parsed)
+                rows.append([_cell(cell, path, lineno, col)
+                             for col, cell in enumerate(fields, start=1)])
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows or width == 0:

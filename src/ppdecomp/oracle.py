@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (principal_spectrum, reduced_coords, spectral_norm,
+from .linalg import (mt, principal_spectrum, reduced_coords, spectral_norm,
                      subspace_distance)
 
 ANGLE_TOL = 1e-8
 
 
-def epsilon_pair(u1, u2, u1_hat, u2_hat) -> tuple[float, float]:
+def epsilon_pair(u1, u2, u1_hat, u2_hat):
     """(epsilon_1, epsilon_2) for true bases (u1, u2) and estimates (u1_hat, u2_hat).
 
     epsilon_1 bounds how far the joint singular values of the estimated
@@ -43,15 +43,19 @@ def epsilon_pair(u1, u2, u1_hat, u2_hat) -> tuple[float, float]:
     [u2_hat, u2]. Their Q factors have orthonormal columns spanning at least
     the column spaces, even when a stack is rank-deficient (u_hat = u), so
     they drop out of the norm.
+
+    The bases may also be stacks (..., n, r) with a shared leading shape;
+    then both epsilons are arrays over it, each item equal to the pair of
+    floats of its 2-D call.
     """
-    g_hat = u1_hat.T @ u2_hat
-    g = u1.T @ u2
-    eps1 = spectral_norm((u1.T @ u1_hat) @ g_hat @ (u2_hat.T @ u2) - g)
-    r_left = np.linalg.qr(np.hstack([u1_hat, u1]), mode="r")
-    r_right = np.linalg.qr(np.hstack([u2_hat, u2]), mode="r")
-    r1, r2 = g_hat.shape
-    eps2 = spectral_norm(r_left[:, :r1] @ g_hat @ r_right[:, :r2].T
-                         - r_left[:, r1:] @ g @ r_right[:, r2:].T)
+    g_hat = mt(u1_hat) @ u2_hat
+    g = mt(u1) @ u2
+    eps1 = spectral_norm((mt(u1) @ u1_hat) @ g_hat @ (mt(u2_hat) @ u2) - g)
+    r_left = np.linalg.qr(np.concatenate([u1_hat, u1], axis=-1), mode="r")
+    r_right = np.linalg.qr(np.concatenate([u2_hat, u2], axis=-1), mode="r")
+    r1, r2 = g_hat.shape[-2:]
+    eps2 = spectral_norm(r_left[..., :r1] @ g_hat @ mt(r_right[..., :r2])
+                         - r_left[..., r1:] @ g @ mt(r_right[..., r2:]))
     return eps1, eps2
 
 

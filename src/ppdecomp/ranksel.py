@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import as_matrix
+from .linalg import as_matrix, mt
 from .noise import edge_quadrature
 
 MP_NODES = 400
@@ -121,57 +121,98 @@ class Truncation(NamedTuple):
     values: np.ndarray    # r leading singular values, descending
 
 
-def _chebyshev(g, x, degree: int, b: float, top: float) -> np.ndarray:
+def _chebyshev(g, x, degree: int, b, top) -> np.ndarray:
     """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1.
 
     T_degree is the Chebyshev polynomial, so |p| <= 1 / T_degree(l(top)) on
     [0, b] and p grows fast above b, up to p(top) = 1. The three-term
     recurrence carries the scaling of Zhou and Saad (2007, J. Comput. Phys.
-    219), which keeps every iterate within the magnitude of ``x``.
+    219), which keeps every iterate within the magnitude of ``x``. ``g`` is a
+    stack (k, n, n) and ``x`` (k, n, m); ``b`` and ``top`` hold one float per
+    item. The scalar recurrence runs per item in floats, ahead of the stacked
+    products.
     """
-    c = e = 0.5 * b
-    sigma1 = e / (top - c)
-    sigma = sigma1
-    y = (g @ x - c * x) * (sigma1 / e)
-    for _ in range(degree - 1):
-        sigma_next = 1.0 / (2.0 / sigma1 - sigma)
-        y, x = (g @ y - c * y) * (2.0 * sigma_next / e) - (sigma * sigma_next) * x, y
-        sigma = sigma_next
+    table = []
+    for bi, ti in zip(b.tolist(), top.tolist()):
+        c = e = 0.5 * bi
+        sigma1 = e / (ti - c)
+        sigma = sigma1
+        row = [c, sigma1 / e]
+        for _ in range(degree - 1):
+            sigma_next = 1.0 / (2.0 / sigma1 - sigma)
+            row += [2.0 * sigma_next / e, sigma * sigma_next]
+            sigma = sigma_next
+        table.append(row)
+    c, first, *steps = np.array(table).T[:, :, None, None]
+    y = (g @ x - c * x) * first
+    for alpha, beta in zip(steps[::2], steps[1::2]):
+        y, x = (g @ y - c * y) * alpha - beta * x, y
     return y
 
 
-def _filtered_top(g, rank: int, b: float):
-    """Certified leading ``rank`` eigenvectors of the PSD matrix ``g``, descending, or None.
+def _columns(a, idx) -> np.ndarray:
+    """``a[i][:, idx[i]]`` for each matrix ``a[i]`` of a stack (k, n, p).
 
-    ``b`` must bound the (rank+1)-th eigenvalue of ``g`` from above. Each
-    pass applies a Chebyshev filter that damps [0, b] to the block,
-    orthonormalizes it and takes Ritz pairs (theta, X) with residual
-    R = g X - X theta. The pairs are accepted if theta_r - |R|_F > b: then
-    ``rank`` eigenvalues lie within |R| of the theta (Kahan), all above b, so
-    they are the leading ones; and if |R|_F / (theta_r - b), which bounds
-    sin(angle) to the leading eigenspace (Davis and Kahan, 1970), is below
-    FILTER_TOL. The block starts from the columns of ``g`` with the largest
-    diagonal entries. None after FILTER_PASSES passes without a certificate,
-    or if ``b`` is outside (0, trace g) or so small that the filter's gain
-    would leave the floating-point range.
+    Laid out column by column, as 2-D fancy indexing ``a[:, idx]`` lays out its
+    result: BLAS then takes the same path for an item of a stack as for the
+    2-D call, so the stack's products are those of the 2-D calls bit for bit.
     """
-    top = float(np.trace(g))  # >= the largest eigenvalue of a PSD g
+    return mt(a[np.arange(len(a))[:, None], :, idx])
+
+
+def _filter_degree(b: float, top: float) -> int:
+    """The filter degree for bound ``b`` under the gain cap; 0 if ``b`` is outside (0, top)."""
     if not 0.0 < b < top:
-        return None
-    degree = min(FILTER_DEGREE, int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
-    if degree < 1:
-        return None
-    x = g[:, np.argsort(-np.diag(g), kind="stable")[:rank]]
-    for _ in range(FILTER_PASSES):
-        x = np.linalg.qr(_chebyshev(g, x, degree, b, top))[0]
-        gx = g @ x
-        theta, w = np.linalg.eigh(x.T @ gx)
-        theta, w = theta[::-1], w[:, ::-1]
-        x = x @ w
-        res = float(np.linalg.norm(gx @ w - x * theta))
-        if theta[-1] - res > b and res / (theta[-1] - b) < FILTER_TOL:
-            return x
-    return None
+        return 0
+    return min(FILTER_DEGREE, int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
+
+
+def _filtered_top(g, rank: int, b):
+    """Certified leading ``rank`` eigenvectors of each PSD matrix in the stack ``g``.
+
+    ``g`` is (k, n, n) and ``b`` holds k floats; ``b[i]`` must bound the
+    (rank+1)-th eigenvalue of ``g[i]`` from above. Returns ``(x, ok)``: ``x``
+    (k, n, rank) holds the eigenvectors, descending, of the items with
+    ``ok[i]`` True, and is unset elsewhere.
+
+    Each pass applies a Chebyshev filter that damps [0, b] to the block,
+    orthonormalizes it and takes Ritz pairs (theta, X) with residual
+    R = g X - X theta. An item's pairs are accepted if theta_r - |R|_F > b:
+    then ``rank`` eigenvalues lie within |R| of the theta (Kahan), all above
+    b, so they are the leading ones; and if |R|_F / (theta_r - b), which
+    bounds sin(angle) to the leading eigenspace (Davis and Kahan, 1970), is
+    below FILTER_TOL. Certified items leave the block; the rest go on. The
+    block starts from the columns of ``g`` with the largest diagonal entries.
+    An item fails after FILTER_PASSES passes without a certificate, or if
+    ``b`` is outside (0, trace g) or so small that the filter's gain would
+    leave the floating-point range. Items filtered to different degrees run
+    in separate groups, and each item is computed as it would be alone.
+    """
+    top = g.trace(0, -2, -1)   # >= the largest eigenvalue of a PSD g
+    degrees = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
+    x_out = np.empty(g.shape[:-1] + (rank,))
+    ok = np.zeros(len(g), dtype=bool)
+    for degree in set(degrees.tolist()) - {0}:
+        act = np.flatnonzero(degrees == degree)
+        ga = g if act.size == len(g) else g[act]
+        x = _columns(ga, np.argsort(-ga.diagonal(0, -2, -1), axis=-1, kind="stable")[:, :rank])
+        for _ in range(FILTER_PASSES):
+            x = np.linalg.qr(_chebyshev(ga, x, degree, b[act], top[act]))[0]
+            gx = ga @ x
+            theta, w = np.linalg.eigh(mt(x) @ gx)
+            theta, w = theta[:, ::-1], w[:, :, ::-1]
+            x = x @ w
+            resid = (gx @ w - x * theta[:, None, :]).reshape(len(act), 1, -1)
+            # |R|_F as a dot product, which is how the 2-D norm sums it.
+            res = np.sqrt(resid @ mt(resid))[:, 0, 0]
+            low = theta[:, -1]
+            good = (low - res > b[act]) & (res / (low - b[act]) < FILTER_TOL)
+            x_out[act[good]] = x[good]
+            ok[act[good]] = True
+            if good.all():
+                break
+            act, ga, x = act[~good], ga[~good], x[~good]
+    return x_out, ok
 
 
 def truncate(y, rank: int, tail_bound=None) -> Truncation:
@@ -198,27 +239,58 @@ def truncate(y, rank: int, tail_bound=None) -> Truncation:
     the leading eigenspace. Without a certificate, and without a bound, they
     come from ``eigh``, so a bound that is 0, at least s_rank or never
     certified gives the bound-free result bit for bit.
+
+    ``y`` may also be a stack (..., n, p); then ``basis`` is (..., n, rank),
+    ``values`` is (..., rank), and ``tail_bound`` bounds every item. The
+    stack runs through one stacked call per step, each item certified on its
+    own, and each item's result is bit for bit that of truncating it alone.
     """
-    y = as_matrix(y)
-    n, p = y.shape
+    y = as_matrix(y, stack=True)
+    lead, (n, p) = y.shape[:-2], y.shape[-2:]
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
     if rank == 0:
-        return Truncation(np.zeros((n, 0)), np.zeros(0))
-    scale = np.max(np.abs(y)) or 1.0
-    z = y / scale
-    g = z @ z.T if n <= p else z.T @ z
-    basis = None
+        return Truncation(np.zeros(lead + (n, 0)), np.zeros(lead + (0,)))
+    y = y.reshape((-1, n, p))
+    scale = np.max(np.abs(y), axis=(1, 2))
+    if not scale.all():
+        scale[scale == 0.0] = 1.0
+    z = y / scale[:, None, None]
+    g = z @ mt(z) if n <= p else mt(z) @ z
+    ok = None
     if tail_bound is not None and tail_bound > 0:
-        t = float(tail_bound) / float(scale)
-        basis = _filtered_top(g, rank, t * t)
-    # Leading eigenvectors first: the QR must orthogonalize round-off columns
-    # against the signal ones, not the other way round.
-    if basis is None:
-        basis = np.linalg.eigh(g)[1][:, :-rank - 1:-1]
-    if n > p:
+        t = float(tail_bound) / scale
+        x, ok = _filtered_top(g, rank, t * t)
+    if ok is None or not ok.any():
+        basis, values = _left_vectors(z, _top_eigh(g, rank))
+    elif ok.all():
+        basis, values = _left_vectors(z, x)
+    else:
+        # Certified and uncertified items go through separate calls, so that
+        # each item meets the operand layout of its own 2-D call.
+        basis = np.empty((len(z), n, rank))
+        values = np.empty((len(z), rank))
+        basis[ok], values[ok] = _left_vectors(z[ok], x[ok])
+        basis[~ok], values[~ok] = _left_vectors(z[~ok], _top_eigh(g[~ok], rank))
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = scale[:, None] * values[np.arange(len(z))[:, None], order]
+    return Truncation(_columns(basis, order).reshape(lead + (n, rank)),
+                      values.reshape(lead + (rank,)))
+
+
+def _top_eigh(g, rank: int) -> np.ndarray:
+    """The leading ``rank`` eigenvectors of each symmetric ``g`` by ``eigh``, descending."""
+    return np.linalg.eigh(g)[1][..., :-rank - 1:-1]
+
+
+def _left_vectors(z, vectors):
+    """(basis, values) of ``truncate`` from the leading Gram eigenvectors, unsorted.
+
+    Leading eigenvectors come first: the QR must orthogonalize round-off
+    columns against the signal ones, not the other way round.
+    """
+    basis = vectors
+    if z.shape[-2] > z.shape[-1]:
         q, rr = np.linalg.qr(z @ basis)
-        basis = q * np.copysign(1.0, np.diag(rr))
-    values = np.linalg.norm(basis.T @ z, axis=1)
-    order = np.argsort(-values, kind="stable")
-    return Truncation(basis[:, order], scale * values[order])
+        basis = q * np.copysign(1.0, np.diagonal(rr, axis1=-2, axis2=-1))[..., None, :]
+    return basis, np.linalg.norm(mt(basis) @ z, axis=-1)

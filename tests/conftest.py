@@ -43,7 +43,7 @@ def prepared_views(cfg, ranks=None):
 
 
 def count_filtered(monkeypatch):
-    """Record, per call of truncate's filtered eigensolver, whether it certified."""
+    """Record, per item that truncate hands its filtered eigensolver, whether it certified."""
     import ppdecomp.ranksel
 
     outcomes = []
@@ -51,7 +51,7 @@ def count_filtered(monkeypatch):
 
     def counted(*args):
         out = filtered_top(*args)
-        outcomes.append(out is not None)
+        outcomes.extend(out[1].tolist())
         return out
 
     monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", counted)

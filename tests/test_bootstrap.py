@@ -6,10 +6,11 @@ import pytest
 from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       SimConfig, decompose, epsilon_pair, estimate_epsilon1,
                       generate, haar_basis, misspecify_ranks, principal_spectrum,
-                      rotate_align, Truncation, truncate)
+                      rotate_align, select_rank, Truncation, truncate)
 import ppdecomp.bootstrap
-from ppdecomp.bootstrap import (_frame_replicate, _haar_pair_rng, _noise_replicate_rng,
-                                _row_basis_rng, _row_frame, _tail_bound)
+from ppdecomp.bootstrap import (_block_size, _frame_replicate, _haar_pair_rng,
+                                _noise_replicate_rng, _row_basis_rng, _row_frame, _tail_bound)
+from ppdecomp.linalg import mt
 from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -94,14 +95,17 @@ def test_noise_replicate_restores_noise_energy():
 
 
 def _qr_row_basis(v, n):
-    """Reference (v_m, k) of an explicit Haar frame v: its first m = min(n, p)
-    rows, and the transposed R factor of the rest (None when p <= n)."""
-    m = min(n, v.shape[0])
-    return v[:m], (np.linalg.qr(v[m:], mode="r").T if v.shape[0] > m else None)
+    """Reference (v_m, k) of an explicit Haar frame v, or of each frame of a
+    stack: its first m = min(n, p) rows, and the transposed R factor of the
+    rest (None when p <= n)."""
+    p = v.shape[-2]
+    m = min(n, p)
+    return v[..., :m, :], (mt(np.linalg.qr(v[..., m:, :], mode="r")) if p > m else None)
 
 
 def _haar_row_basis(p, n, r, rng):
-    """Reference row draw: a full Haar (p, r) frame, read as ``_qr_row_basis``."""
+    """Reference row draw: a full Haar (p, r) frame per generator, read as
+    ``_qr_row_basis``."""
     return _qr_row_basis(haar_basis(p, r, rng), n)
 
 
@@ -258,11 +262,12 @@ def test_epsilon1_calibrated_under_over_specified_ranks(angle):
     assert abs(np.mean(biases)) <= 0.05
 
 
-def _svd_haar_pair(n, r1, r2, rng):
+def _svd_haar_pair(n, r1, r2, rngs):
     """Reference pair draw: consecutive blocks of the left singular basis of
-    one Gaussian n x n matrix, an independent construction of the Haar law."""
-    u = np.linalg.svd(rng.standard_normal((n, n)))[0]
-    return u[:, :r1], u[:, r1:r1 + r2]
+    one Gaussian n x n matrix per generator, an independent construction of
+    the Haar law."""
+    u = np.linalg.svd(np.stack([rng.standard_normal((n, n)) for rng in rngs]))[0]
+    return u[..., :r1], u[..., r1:r1 + r2]
 
 
 def test_epsilon1_same_law_as_svd_haar_pair(monkeypatch):
@@ -290,17 +295,19 @@ def _q_row_frame(e):
 
 
 def _q_frame_replicate(us, v, q, rt):
-    """Reference stand-in for y = us v^T + rt q^T, which reads v through q.
+    """Reference stand-in for y = us v^T + rt q^T, which reads v through q,
+    for each replicate of the stacks ``us`` and ``v``.
 
     Its part outside col(q), of Gram C = I - a^T a with a = q^T v, is carried
     by the extra block us C^(1/2).
     """
     a = q.T @ v
-    z = us @ a.T + rt
+    z = us @ mt(a) + rt
     if q.shape[0] == q.shape[1]:
         return z
-    lam, w = np.linalg.eigh(np.eye(a.shape[1]) - a.T @ a)
-    return np.hstack([z, us @ ((w * np.sqrt(np.maximum(lam, 0.0))) @ w.T)])
+    lam, w = np.linalg.eigh(np.eye(a.shape[-1]) - mt(a) @ a)
+    c_half = (w * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ mt(w)
+    return np.concatenate([z, us @ c_half], axis=-1)
 
 
 @pytest.mark.parametrize("n,dims", [(50, (80, 100)), (100, (40, 60))], ids=["wide", "tall"])
@@ -348,6 +355,52 @@ def test_epsilon1_same_law_as_full_width_row_draw(monkeypatch, dims):
          / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
          for a, b in zip(new, old)]
     assert abs(np.mean(z)) <= 1.0
+
+
+WIDE_CFG = dict(n=167, dims=(1572, 375), joint_rank=8, individual_ranks=(8, 8), angle_deg=60.0)
+
+
+@pytest.mark.parametrize("shape,ranks", [(FIVE_CFG, None), (WIDE_CFG, (16, 16)),
+                                         ({**FIVE_CFG, "n": 90, "dims": (40, 60)}, None)],
+                         ids=["table1", "wide-filtered", "tall"])
+def test_epsilon1_does_not_depend_on_the_block_size(monkeypatch, shape, ranks):
+    # Replicates run in stacked blocks, each item computed as it would be
+    # alone, so every per-replicate value is bit for bit the same whether the
+    # blocks hold one replicate, the default number, or all B of them.
+    views, _ = generate(SimConfig(snr=2.0, seed=3, **shape))
+    ranks = ranks or [select_rank(y).rank for y in views]
+    truncs = [truncate(y, r) for y, r in zip(views, ranks)]
+    sigmas = [select_rank(y).sigma_hat for y in views]
+    outcomes = count_filtered(monkeypatch)
+
+    def per_replicate():
+        return estimate_epsilon1(views[0], views[1], *truncs, *sigmas,
+                                 BootstrapConfig(replicates=7, seed=5)).per_replicate
+
+    default = per_replicate()
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1)
+    one = per_replicate()
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 7)
+    whole = per_replicate()
+    assert np.array_equal(default, one) and np.array_equal(default, whole)
+    if ranks == (16, 16):   # the filter certified every item in every blocking
+        assert outcomes == [True] * 42
+
+
+def test_block_size_from_footprint(monkeypatch):
+    # Stand-ins of 50 x (80, 100) at ranks 9, 8 are 50 x 59 and 50 x 58, each
+    # with a 50 x 50 Gram matrix: 86800 bytes a replicate.
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 1000)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 86800 + 1)
+    assert _block_size(50, 9, 8, 80, 100) == 10
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 86800 - 1)
+    assert _block_size(50, 9, 8, 80, 100) == 9
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1)
+    assert _block_size(50, 9, 8, 80, 100) == 1
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 4)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1 << 40)
+    assert _block_size(50, 9, 8, 80, 100) == 4
 
 
 def test_epsilon1_deterministic_and_consistent():

@@ -78,6 +78,8 @@ def _loop_read_matrix_csv(path, has_header=False):
                 parsed = []
                 for col, cell in enumerate(fields, start=1):
                     try:
+                        if "_" in cell or not cell.isascii():   # outside the dialect
+                            raise ValueError
                         parsed.append(float(cell))
                     except ValueError:
                         raise ParseError(
@@ -132,6 +134,7 @@ CSV_CORPUS = {
     "nul": b"1\x00,2\n",
     "form-feed-inside": b"1\x0c2,3\n",
     "non-ascii-digits": "\u0661,2\n\uff11,3\n".encode(),
+    "non-ascii-space": "1\u00a0,2\n3,4\n".encode(),
     "ragged": b"1,2\n3\n",
     "single-cell": b"5\n",
     "empty": b"",
@@ -397,6 +400,13 @@ def _latin1_views(tmp_path):
             "--out", str(tmp_path / "r.json")]
 
 
+def _edited_view(tmp_path, cell):
+    """Views whose second file has ``cell`` as its first cell."""
+    p1, p2 = write_noiseless_views(tmp_path)
+    p2.write_bytes(cell + b"," + p2.read_bytes().split(b",", 1)[1])
+    return ["decompose", "--view", str(p1), "--view", str(p2), "--out", str(tmp_path / "r.json")]
+
+
 def _sim_config(tmp_path, text):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(text)
@@ -450,6 +460,8 @@ HOSTILE = {
                                                "--r2", "7", "--seed", "-5",
                                                "--out", str(t / "x.json")],
     "view-not-utf8": _latin1_views,
+    "view-underscore-cell": lambda t: _edited_view(t, b"1_000"),
+    "view-non-ascii-digit": lambda t: _edited_view(t, "\uff11".encode()),
     "simulate-zero-bootstrap-reps": lambda t: _sim_config(
         t, SIM_CONFIG.replace("bootstrap_reps = 8", "bootstrap_reps = 0")),
     "simulate-negative-seed": lambda t: _sim_config(t, SIM_CONFIG.replace("seed = 3",

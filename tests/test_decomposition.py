@@ -285,6 +285,23 @@ def test_epsilon_pair_matches_brute_force_projectors(n, fracs, case, seed):
     assert got[1] == pytest.approx(want[1], abs=1e-10)
 
 
+@pytest.mark.parametrize("case,dims", [("independent", (4, 3, 5, 4)), ("exact", (4, 3, 4, 3)),
+                                       ("shared", (4, 5, 3, 4)), ("perturbed", (4, 3, 6, 5)),
+                                       ("independent", (0, 3, 5, 4))],
+                         ids=["independent", "exact", "shared", "perturbed", "k1=0"])
+def test_epsilon_pair_stack_equals_per_item(case, dims):
+    # Stacked bases give one (epsilon_1, epsilon_2) pair per item, each bit
+    # for bit the floats of its 2-D call.
+    rng = np.random.default_rng(sum(dims))
+    draws = [_epsilon_bases(12, dims, case, rng) for _ in range(5)]
+    stacked = epsilon_pair(*(np.stack(bases) for bases in zip(*draws)))
+    alone = [epsilon_pair(*bases) for bases in draws]
+    assert all(isinstance(v, float) for pair in alone for v in pair)
+    assert stacked[0].shape == stacked[1].shape == (5,)
+    assert np.array_equal(stacked[0], [pair[0] for pair in alone])
+    assert np.array_equal(stacked[1], [pair[1] for pair in alone])
+
+
 def test_theorem1_intervals_noiseless_collapse():
     rng = np.random.default_rng(12)
     i1, i2 = angled_pair(16, 3, 3, 40.0, rng)

@@ -242,3 +242,38 @@ def test_truncate_round_off_tail_bound_raises_no_float_error(shape, monkeypatch)
 def test_truncate_rejects_excessive_rank():
     with pytest.raises(InvalidInput):
         truncate(np.ones((4, 6)), 5)
+
+
+@pytest.mark.parametrize("shape", [(40, 60), (60, 40)], ids=["wide", "tall"])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=["1", "1e150", "1e-150"])
+def test_truncate_stack_matches_per_item(shape, scale, monkeypatch):
+    # One stack holds items that certify, one whose s_6 sits at the noise
+    # level and a rank-4 one (s_5 and s_6 below the bound); the last two
+    # cannot certify and fall back to eigh. Each item must come out as
+    # truncating it alone gives, bit for bit, with the same certificate
+    # outcome: a certified item that lost its certificate would still agree
+    # to round-off, so the outcomes are compared too.
+    strengths = [np.linspace(10.0, 5.0, 6), [10.0, 9.0, 8.0, 7.0, 6.0, 0.3],
+                 np.linspace(10.0, 5.0, 6), np.linspace(10.0, 5.0, 4)]
+    noise = [0.1, 0.1, 0.1, 0.0]
+    items = np.stack([_planted(*shape, s, e, seed=k)
+                      for k, (s, e) in enumerate(zip(strengths, noise))]) * scale
+    bound = 2.0 * scale   # above every s_7, below s_6 of the certified items
+    outcomes = count_filtered(monkeypatch)
+    stacked = truncate(items, 6, bound)
+    stacked_outcomes = outcomes[:]
+    outcomes.clear()
+    alone = [truncate(item, 6, bound) for item in items]
+    assert stacked_outcomes == outcomes == [True, False, True, False]
+    assert stacked.basis.shape == (4, shape[0], 6) and stacked.values.shape == (4, 6)
+    for k, one in enumerate(alone):
+        assert _projector_gap(stacked.basis[k], one.basis) <= 1e-12
+        assert np.all(np.abs(stacked.values[k] - one.values) <= 1e-12 * one.values)
+        assert np.array_equal(stacked.basis[k], one.basis)
+        assert np.array_equal(stacked.values[k], one.values)
+    # A stack of stacks keeps its leading shape; a bound-free stack runs eigh.
+    nested = truncate(items.reshape(2, 2, *shape), 6, bound)
+    assert np.array_equal(nested.basis.reshape(stacked.basis.shape), stacked.basis)
+    free = truncate(items, 6)
+    for k in range(4):
+        assert np.array_equal(free.basis[k], truncate(items[k], 6).basis)
