@@ -7,31 +7,35 @@ replicated signals, re-estimates the subspaces with ``truncate``, and records
 the realized perturbation. The mean over replicates estimates epsilon_1,
 the maximal downward shift of the joint singular values.
 
-A replicate of an n x p view is never formed at full width. Once per pair,
-the noise is factored as e^T = Q R and only R is kept: R^T holds e's
-coordinates in the orthonormal frame Q (m = min(n, p) columns). Each
-replicate is handed to ``truncate`` as
+A replicate of an n x p view is never formed, at full width or otherwise.
+Once per pair, the noise is factored as e^T = Q R, and the thin SVD
+R^T = P diag(sigma) H^T of its coordinates in the orthonormal frame Q
+(m = min(n, p) columns) is kept. The replicate is
 
-    z = [U S V_m^T + R^T,  U S K],   K K^T = V[m:]^T V[m:],
+    y = U S (O V)^T + e,   O = [Q Q_perp],
 
-with V_m the first m rows of its Haar (p, r) right basis V. Then
-z z^T = y y^T for y = U S ([Q Q_perp] V)^T + e, an exact replicate since
-[Q Q_perp] V is Haar too. The second block, at most r columns, is empty
-unless p > n, so a wide replicate shrinks from n x p to n x (n + r). V itself
-is not formed either: ``_row_basis_rng`` draws V_m and K with the law they
-have under V, in O(m r^2) through a Bartlett factor of the Wishart Gram of
-V's Gaussian rows past m. Only the noise imputation and the QR of e^T, once
-per pair, depend on p.
+with V its Haar (p, r) right basis; O V is Haar too, so y is an exact
+replicate. In the right frame [Q H, Q_perp], y reads U S W^T + P diag(sigma)
+[I 0], where W is orthonormal and its first m rows are w = H^T V_m, V_m the
+first m rows of V. So each replicate's Gram matrix, in P's coordinates for
+p >= n and in [Q H]'s for p < n, is diag(sigma^2) plus a term of rank 2r
+built from U S, w and P (Golub, 1973, SIAM Rev. 15, on modified
+eigenproblems); the rows of W past m enter only through W^T W = I.
+``truncate`` takes the replicates in this form (``SignalPlusNoise``), and no
+replicate needs an m x m product unless its filtered eigensolver falls back
+to ``eigh``. V itself is not formed either: ``_row_basis_rng`` draws V_m with
+the law it has under V, in O(m r^2) through a Bartlett factor of the
+Wishart Gram of V's Gaussian rows past m. Only the noise imputation and the
+QR of e^T, once per pair, depend on p.
 
 Because e is fixed for the pair, so is a bound on the replicate's tail: with
-at most r nonzero signal strengths, s_{r+1}(U S V^T + e) <= |e|_2 = |R|_2
-(Weyl), and z has the same singular values. ``truncate`` is handed this
-bound and then takes its basis from a certified Chebyshev-filtered
-eigensolver instead of a full ``eigh``. The bound is passed only where the
-certificate can be met: every retained column carries signal, |e|_2 is
-above the rank rule's round-off floor 1e-12 s_1, and the smallest retained
-value exceeds 1.5 |e|_2. Elsewhere the filter would fall back to ``eigh``
-after wasted passes, so it is not tried.
+at most r nonzero signal strengths, s_{r+1}(y) <= |e|_2 = sigma_1 (Weyl).
+``truncate`` is handed this bound and then takes its basis from a certified
+Chebyshev-filtered eigensolver instead of a full ``eigh``. The bound is
+passed only where the certificate can be met: every retained column carries
+signal, |e|_2 is above the rank rule's round-off floor 1e-12 s_1, and the
+smallest retained value exceeds 1.5 |e|_2. Elsewhere the filter would fall
+back to ``eigh`` after wasted passes, so it is not tried.
 
 The replicated signal strengths are the observed singular values debiased
 under the spiked noise model: an observed value y of an n x p view with noise
@@ -57,12 +61,12 @@ pair, then the row basis of the first view, then that of the second. The rest
 of the work (frames, re-truncation, epsilon) runs once per block, as stacked
 numpy calls over a leading replicate axis. A small replicate costs the
 interpreter about as much as LAPACK, about forty calls on 50 x 50 arrays, and
-a block pays that once. Every stacked step computes each replicate as its own
-2-D call would, bit for bit, so the estimate does not depend on the block
-size. A block holds as many replicates as fit in BLOCK_BYTES of stand-ins and
-Gram matrices, and at most BLOCK_REPLICATES: beyond a dozen small replicates
-the gain stops while peak memory keeps growing, and two large ones already
-gain (the measurements are with the constants below).
+a block pays that once. Every stacked step computes each replicate as it
+would in a block of its own, bit for bit, so the estimate does not depend on
+the block size. A block holds as many replicates as fit in BLOCK_BYTES of
+factored replicates and fallback Gram matrices, and at most
+BLOCK_REPLICATES: beyond a dozen small replicates the gain stops while peak
+memory keeps growing (the measurements are with the constants below).
 """
 
 from __future__ import annotations
@@ -76,18 +80,17 @@ from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
 from .linalg import haar_basis, mt, principal_spectrum
 from .oracle import epsilon_pair
-from .ranksel import Truncation, truncate
+from .ranksel import SignalPlusNoise, Truncation, truncate
 
 VARIANTS = ("rotational", "naive")
 
-# Replicates per block: as many as fit in BLOCK_BYTES of stand-ins and Gram
-# matrices, at most BLOCK_REPLICATES, at least one. Set on the three benchmark
-# workloads, one BLAS thread: 2 MiB holds two replicates of a 167 x (1572, 375)
-# pair at ranks 16,16 or of a 300 x (120, 150) pair (0.94 MB each), which ran
-# about 15 % faster than one at a time and raised peak RSS by about 1 MB; one
-# at a time they ran up to 8 % slower than the unstacked loop. Replicates of
-# a 50 x (80, 100) pair (0.09 MB) stop gaining at about a dozen per block,
-# while each one more adds about 0.15 MB of peak RSS.
+# Replicates per block: as many as fit in BLOCK_BYTES of factored replicates
+# and fallback Gram matrices (see ``_block_size``), at most BLOCK_REPLICATES,
+# at least one. Set on the three benchmark workloads, one BLAS thread: 2 MiB
+# holds three replicates of a 167 x (1572, 375) pair at ranks 16,16 (0.62 MB
+# each) and five to seven of the 300 x (90, 120, 150) pairs (0.27-0.39 MB).
+# Replicates of a 50 x (80, 100) pair (0.07 MB) stop gaining at about a dozen
+# per block, while peak RSS keeps growing with each one more.
 BLOCK_BYTES = 2 << 20
 BLOCK_REPLICATES = 12
 
@@ -173,28 +176,29 @@ def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
 
 
 def _row_frame(e):
-    """rt, the (n, min(n, p)) coordinates of e in an orthonormal frame q: e = rt q^T."""
-    return np.linalg.qr(e.T, mode="r").T
+    """(P, sigma, H^T): the thin SVD P diag(sigma) H^T of rt, the (n, min(n, p))
+    coordinates of e in an orthonormal frame q of its row space, e = rt q^T."""
+    return np.linalg.svd(np.linalg.qr(e.T, mode="r").T, full_matrices=False)
 
 
 def _row_basis_rng(p, n, r, rng):
-    """(v_m, k) for a Haar (p, r) frame v, drawn without forming v: v_m = v[:m]
-    with m = min(n, p), and k with k k^T = v[m:]^T v[m:] (None when p <= n).
+    """v_m = v[:m], m = min(n, p), of a Haar (p, r) frame v, drawn without forming v.
 
     The sign-fixed QR of a Gaussian G = [G_m; G_rest] is v = G R^-1, with R
-    the upper Cholesky factor of G_m^T G_m + W and W = G_rest^T G_rest. So
-    v_m = G_m R^-1 and k = R^-T L for any L with L L^T = W. W is
-    Wishart_r(p - m, I): for p - m >= r, L is its Bartlett factor (Bartlett,
-    1933; Anderson, 2003, ch. 7), lower triangular with sqrt(chi^2_{p-m-i})
-    on the diagonal and N(0, 1) below it; otherwise L = G_rest^T. Every step
-    is O(m r^2). For p <= n this is :func:`ppdecomp.linalg.haar_basis`.
+    the upper Cholesky factor of G_m^T G_m + W and W = G_rest^T G_rest, so
+    v_m = G_m R^-1. W is Wishart_r(p - m, I): for p - m >= r, W = L L^T
+    with L its Bartlett factor (Bartlett, 1933; Anderson, 2003, ch. 7),
+    lower triangular with sqrt(chi^2_{p-m-i}) on the diagonal and N(0, 1)
+    below it; otherwise L = G_rest^T. Every step is O(m r^2). The rest of v
+    is not needed: v_m^T v_m + v[m:]^T v[m:] = I. For p <= n this is
+    :func:`ppdecomp.linalg.haar_basis`.
 
     As there, ``rng`` may be a sequence of generators: each draws its own
-    Gaussians, and v_m and k are stacks over them.
+    Gaussians, and v_m is a stack over them.
     """
     m = min(n, p)
     if p == m:
-        return haar_basis(p, r, rng), None
+        return haar_basis(p, r, rng)
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else rng
     d = p - m
@@ -212,53 +216,51 @@ def _row_basis_rng(p, n, r, rng):
     else:
         low = mt(low)
     c_inv = np.linalg.inv(np.linalg.cholesky(mt(gm) @ gm + low @ mt(low)))   # R^-T
-    v_m, k = gm @ mt(c_inv), c_inv @ low
-    return (v_m[0], k[0]) if single else (v_m, k)
+    v_m = gm @ mt(c_inv)
+    return v_m[0] if single else v_m
 
 
-def _frame_replicate(us, v_m, k, rt) -> np.ndarray:
-    """Stand-in z with z z^T = y y^T for the replicate y = us (O v)^T + e.
+def _replicates(us, v_m, frame) -> SignalPlusNoise:
+    """The replicates y = us (O v)^T + e as ``truncate`` takes them.
 
-    O = [q q_perp] completes the noise's row frame: the first m rows of the
-    Haar frame v, ``v_m``, fold into the noise's coordinates, and the rest,
-    of Gram k k^T, are carried by the extra block ``us k`` (``k`` is None
-    when p <= n, where v lies inside the row frame). ``us``, ``v_m`` and
-    ``k`` may be stacks over replicates; ``rt`` is shared.
+    O = [q q_perp] completes the noise's row frame q, and ``frame`` is the
+    thin SVD (P, sigma, H^T) of the noise's coordinates rt. In the right
+    frame [q H, q_perp], y reads us W^T + P diag(sigma) [I 0] with W
+    orthonormal and its first m rows H^T v_m. ``us`` and ``v_m`` are stacks
+    over replicates; ``frame`` is shared.
     """
-    z = us @ mt(v_m) + rt
-    if k is None:
-        return z
-    return np.concatenate([z, us @ k], axis=-1)
+    return SignalPlusNoise(frame[0], frame[1], us, frame[2] @ v_m)
 
 
 def _block_size(n, r1, r2, p1, p2) -> int:
     """Replicates per block: BLOCK_BYTES over a replicate's footprint, within [1, BLOCK_REPLICATES].
 
-    The footprint is the bytes of the replicate's two stand-ins, n x w with
-    w = min(n, p) + min(p - n, r) for p > n and w = p otherwise, and of the
-    two Gram matrices that ``truncate`` forms from them.
+    The footprint is the bytes, for each view with m = min(n, p), of the
+    replicate's signal ``us`` (n x r), its row coordinates ``w`` (m x r),
+    the 2r columns of its Gram factor (m x 2r), and the m x m Gram matrix
+    formed for ``eigh`` where the filter does not certify.
     """
     footprint = 0
     for p, r in ((p1, r1), (p2, r2)):
-        w = min(n, p) + min(max(p - n, 0), r)
-        footprint += 8 * (n * w + min(n, w) ** 2)
+        m = min(n, p)
+        footprint += 8 * (n * r + 3 * m * r + m * m)
     return max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // footprint))
 
 
-def _tail_bound(trunc: Truncation, k: int, rt):
-    """|rt|_2, the bound handed to ``truncate`` for a view's replicates, or None.
+def _tail_bound(trunc: Truncation, k: int, noise):
+    """noise[0] = |e|_2, the bound handed to ``truncate`` for a view's replicates, or None.
 
-    ``rt`` holds the coordinates of the pair's noise e in its row frame, so
-    |rt|_2 = |e|_2. A replicate U S V^T + e whose signal has k <= r nonzero
-    strengths has s_{r+1} <= |e|_2 (Weyl), so the bound is always valid; it
-    is passed only where the filtered eigensolver can certify: every retained
-    column is signal (k == r), the noise is above the rank rule's round-off
-    floor 1e-12 s_1, and the smallest retained value clears it by half again.
+    ``noise`` holds the singular values of the pair's noise e. A replicate
+    U S V^T + e whose signal has k <= r nonzero strengths has
+    s_{r+1} <= |e|_2 (Weyl), so the bound is always valid; it is passed only
+    where the filtered eigensolver can certify: every retained column is
+    signal (k == r), the noise is above the rank rule's round-off floor
+    1e-12 s_1, and the smallest retained value clears it by half again.
     """
     values = trunc.values
     if k < values.size:
         return None
-    noise_norm = float(np.linalg.norm(rt, 2))
+    noise_norm = float(noise[0])
     if 1e-12 * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
         return noise_norm
     return None
@@ -341,13 +343,16 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
     k1 = int(np.count_nonzero(s1))
     k2 = int(np.count_nonzero(s2))
-    # The QR consumes each noise matrix; only its row-frame coordinates are kept.
-    rt1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
-                                          derive_rng(cfg.seed, STREAM_NOISE, 0)))
-    rt2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
-                                          derive_rng(cfg.seed, STREAM_NOISE, 1)))
-    bound1 = _tail_bound(trunc1, k1, rt1)
-    bound2 = _tail_bound(trunc2, k2, rt2)
+    # The QR consumes each noise matrix; only the SVD of its row-frame
+    # coordinates is kept. The wider view (y2, by the canonical order) goes
+    # first, so that no frame is held while its QR, the largest allocation of
+    # the bootstrap, runs.
+    frame2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
+                                             derive_rng(cfg.seed, STREAM_NOISE, 1)))
+    frame1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
+                                             derive_rng(cfg.seed, STREAM_NOISE, 0)))
+    bound1 = _tail_bound(trunc1, k1, frame1[1])
+    bound2 = _tail_bound(trunc2, k2, frame2[1])
 
     vals = np.zeros(b_reps)
     block = _block_size(n, r1, r2, y1.shape[1], y2.shape[1])
@@ -359,8 +364,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
             u2b = rotate_align(u1b, u2b, sigma_m)
         v1b = _row_basis_rng(y1.shape[1], n, r1, rngs)
         v2b = _row_basis_rng(y2.shape[1], n, r2, rngs)
-        u1b_hat = truncate(_frame_replicate(u1b * s1, *v1b, rt1), r1, bound1).basis
-        u2b_hat = truncate(_frame_replicate(u2b * s2, *v2b, rt2), r2, bound2).basis
+        u1b_hat = truncate(_replicates(u1b * s1, v1b, frame1), r1, bound1).basis
+        u2b_hat = truncate(_replicates(u2b * s2, v2b, frame2), r2, bound2).basis
         eps1 = epsilon_pair(u1b[..., :k1], u2b[..., :k2], u1b_hat, u2b_hat)[0]
         vals[start:start + len(rngs)] = np.minimum(eps1, 1.0)
 

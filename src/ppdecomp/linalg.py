@@ -20,13 +20,11 @@ from .exceptions import DimensionMismatch, InvalidInput
 RANK_TOL = 1e-10
 
 
-def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-D float array (with ``stack``, a stack of them),
-    raising InvalidInput otherwise."""
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D float array, raising InvalidInput otherwise."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 and not (stack and a.ndim > 2):
-        kind = "2-D or a stack of 2-D arrays" if stack else "2-D"
-        raise InvalidInput(f"{name} must be {kind}, got shape {a.shape}")
+    if a.ndim != 2:
+        raise InvalidInput(f"{name} must be 2-D, got shape {a.shape}")
     if 0 in a.shape:
         raise InvalidInput(f"{name} must have at least one row and column, got {a.shape}")
     if not np.all(np.isfinite(a)):

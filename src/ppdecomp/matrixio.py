@@ -44,7 +44,12 @@ def _cell(text: str, path, lineno: int, col: int) -> float:
 
     ``float`` also reads digit-group underscores (``1_000``) and non-ASCII
     digits and spaces (``\u0661``, ``\uff11``); the dialect has neither.
+    A UTF-8 byte-order mark, which spreadsheet exports put at the start of a
+    file, is named as such.
     """
+    if text.startswith("\ufeff") and (lineno, col) == (1, 1):
+        raise ParseError(f"{path}: UTF-8 byte-order mark at line 1, column 1; "
+                         "save the file without it", line=1, col=1)
     try:
         if "_" in text or not text.isascii():
             raise ValueError

@@ -10,6 +10,7 @@ singular value of a unit-variance pure-noise matrix of the same shape
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,11 +63,14 @@ def _mp_support(beta: float):
     return (1.0 - np.sqrt(beta)) ** 2, (1.0 + np.sqrt(beta)) ** 2
 
 
+@functools.lru_cache(maxsize=64)
 def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     """Median of the Marchenko-Pastur eigenvalue distribution, beta in (0, 1].
 
     Found by bisecting the CDF, integrated by :func:`ppdecomp.noise.edge_quadrature`
-    with ``nodes`` nodes, to 1/2 within 1e-9.
+    with ``nodes`` nodes, to 1/2 within 1e-9. The result is cached: the
+    bisection takes milliseconds, and a decomposition asks again for each
+    view of the same shape.
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidInput(f"beta must lie in (0, 1], got {beta}")
@@ -121,16 +125,61 @@ class Truncation(NamedTuple):
     values: np.ndarray    # r leading singular values, descending
 
 
-def _chebyshev(g, x, degree: int, b, top) -> np.ndarray:
+class SignalPlusNoise(NamedTuple):
+    """A stack of n x p matrices y_b = us_b W_b^T + frame diag(noise) [I_m 0], given by factors.
+
+    With m = min(n, p), ``frame`` (n, m) has orthonormal columns and
+    ``noise`` (m,) holds the noise's singular values, both shared by the
+    stack. ``us`` is (k, n, r), and ``w`` (k, m, r) holds the first m rows of
+    each item's orthonormal (p, r) W_b. The other rows of W_b are not needed:
+    they enter y_b y_b^T only through W_b^T W_b = I. The bootstrap writes its
+    replicates this way, in the coordinates of the thin SVD of their noise.
+    """
+
+    frame: np.ndarray
+    noise: np.ndarray
+    us: np.ndarray
+    w: np.ndarray
+
+
+class _Gram(NamedTuple):
+    """diag(d) + l mid l^T for each item of a stack, formed only on request.
+
+    ``d`` is (k, m), ``l`` (k, m, c) and ``mid`` (k, c, c) symmetric. With
+    c << m, a product with a block of b columns costs O(m c b) rather than
+    the O(m^2 b) of the formed matrix, and the diagonal O(m c^2).
+    """
+
+    d: np.ndarray
+    l: np.ndarray
+    mid: np.ndarray
+
+    def take(self, idx) -> "_Gram":
+        return _Gram(self.d[idx], self.l[idx], self.mid[idx])
+
+    def apply(self, x) -> np.ndarray:
+        return self.d[..., None] * x + self.l @ (self.mid @ (mt(self.l) @ x))
+
+    def diagonal(self) -> np.ndarray:
+        return self.d + np.sum((self.l @ self.mid) * self.l, axis=-1)
+
+    def dense(self) -> np.ndarray:
+        g = (self.l @ self.mid) @ mt(self.l)
+        i = np.arange(g.shape[-1])
+        g[:, i, i] += self.d
+        return g
+
+
+def _chebyshev(apply, x, degree: int, b, top) -> np.ndarray:
     """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1.
 
     T_degree is the Chebyshev polynomial, so |p| <= 1 / T_degree(l(top)) on
     [0, b] and p grows fast above b, up to p(top) = 1. The three-term
     recurrence carries the scaling of Zhou and Saad (2007, J. Comput. Phys.
-    219), which keeps every iterate within the magnitude of ``x``. ``g`` is a
-    stack (k, n, n) and ``x`` (k, n, m); ``b`` and ``top`` hold one float per
-    item. The scalar recurrence runs per item in floats, ahead of the stacked
-    products.
+    219), which keeps every iterate within the magnitude of ``x``. ``apply``
+    multiplies a stack of blocks (k, m, b) by the k matrices g; ``b`` and
+    ``top`` hold one float per item. The scalar recurrence runs per item in
+    floats, ahead of the stacked products.
     """
     table = []
     for bi, ti in zip(b.tolist(), top.tolist()):
@@ -144,20 +193,10 @@ def _chebyshev(g, x, degree: int, b, top) -> np.ndarray:
             sigma = sigma_next
         table.append(row)
     c, first, *steps = np.array(table).T[:, :, None, None]
-    y = (g @ x - c * x) * first
+    y = (apply(x) - c * x) * first
     for alpha, beta in zip(steps[::2], steps[1::2]):
-        y, x = (g @ y - c * y) * alpha - beta * x, y
+        y, x = (apply(y) - c * y) * alpha - beta * x, y
     return y
-
-
-def _columns(a, idx) -> np.ndarray:
-    """``a[i][:, idx[i]]`` for each matrix ``a[i]`` of a stack (k, n, p).
-
-    Laid out column by column, as 2-D fancy indexing ``a[:, idx]`` lays out its
-    result: BLAS then takes the same path for an item of a stack as for the
-    2-D call, so the stack's products are those of the 2-D calls bit for bit.
-    """
-    return mt(a[np.arange(len(a))[:, None], :, idx])
 
 
 def _filter_degree(b: float, top: float) -> int:
@@ -167,13 +206,14 @@ def _filter_degree(b: float, top: float) -> int:
     return min(FILTER_DEGREE, int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
 
 
-def _filtered_top(g, rank: int, b):
-    """Certified leading ``rank`` eigenvectors of each PSD matrix in the stack ``g``.
+def _filtered_top(g: _Gram, rank: int, b):
+    """Certified leading ``rank`` eigenvectors of each PSD matrix of the stack ``g``.
 
-    ``g`` is (k, n, n) and ``b`` holds k floats; ``b[i]`` must bound the
-    (rank+1)-th eigenvalue of ``g[i]`` from above. Returns ``(x, ok)``: ``x``
-    (k, n, rank) holds the eigenvectors, descending, of the items with
-    ``ok[i]`` True, and is unset elsewhere.
+    ``g`` holds k matrices m x m and ``b`` k floats; ``b[i]`` must bound the
+    (rank+1)-th eigenvalue of item i from above. Returns ``(x, ok)``: ``x``
+    (k, m, rank) holds the eigenvectors, descending, of the items with
+    ``ok[i]`` True, and is unset elsewhere. Only products with ``g`` are
+    taken, never the matrix itself.
 
     Each pass applies a Chebyshev filter that damps [0, b] to the block,
     orthonormalizes it and takes Ritz pairs (theta, X) with residual
@@ -188,17 +228,21 @@ def _filtered_top(g, rank: int, b):
     leave the floating-point range. Items filtered to different degrees run
     in separate groups, and each item is computed as it would be alone.
     """
-    top = g.trace(0, -2, -1)   # >= the largest eigenvalue of a PSD g
+    diag = g.diagonal()
+    top = diag.sum(axis=-1)   # the trace, >= the largest eigenvalue of a PSD g
     degrees = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
-    x_out = np.empty(g.shape[:-1] + (rank,))
-    ok = np.zeros(len(g), dtype=bool)
+    x_out = np.empty(diag.shape + (rank,))
+    ok = np.zeros(len(diag), dtype=bool)
     for degree in set(degrees.tolist()) - {0}:
         act = np.flatnonzero(degrees == degree)
-        ga = g if act.size == len(g) else g[act]
-        x = _columns(ga, np.argsort(-ga.diagonal(0, -2, -1), axis=-1, kind="stable")[:, :rank])
+        ga = g if act.size == len(diag) else g.take(act)
+        x = np.zeros((act.size,) + x_out.shape[1:])
+        top_diag = np.argsort(-diag[act], axis=-1, kind="stable")[:, :rank]
+        x[np.arange(act.size)[:, None], top_diag, np.arange(rank)] = 1.0
+        x = ga.apply(x)
         for _ in range(FILTER_PASSES):
-            x = np.linalg.qr(_chebyshev(ga, x, degree, b[act], top[act]))[0]
-            gx = ga @ x
+            x = np.linalg.qr(_chebyshev(ga.apply, x, degree, b[act], top[act]))[0]
+            gx = ga.apply(x)
             theta, w = np.linalg.eigh(mt(x) @ gx)
             theta, w = theta[:, ::-1], w[:, :, ::-1]
             x = x @ w
@@ -211,7 +255,7 @@ def _filtered_top(g, rank: int, b):
             ok[act[good]] = True
             if good.all():
                 break
-            act, ga, x = act[~good], ga[~good], x[~good]
+            act, ga, x = act[~good], ga.take(~good), x[~good]
     return x_out, ok
 
 
@@ -227,70 +271,117 @@ def truncate(y, rank: int, tail_bound=None) -> Truncation:
     1e-12 s_1 floor of the rank rule. The best rank-``rank`` approximation of
     ``y`` in Frobenius norm (Eckart-Young) is ``basis @ (basis.T @ y)``; it is
     not formed here. In exact arithmetic the result depends on ``y`` only
-    through ``y y^T`` (up to column signs), so any matrix with the same
-    ``y y^T`` may stand in for ``y``.
+    through ``y y^T`` (up to column signs).
 
-    ``tail_bound``, if given, must bound s_{rank+1} of ``y`` from above. The
-    leading eigenvectors then come from a Chebyshev-filtered block iteration
-    that damps the Gram spectrum below ``(tail_bound / max|y|)^2``, and are
-    kept only under a certificate (see ``_filtered_top``): Kahan's residual
-    bound places ``rank`` Gram eigenvalues above the damped range, and the
-    Davis-Kahan bound puts the returned eigenvectors within sin-angle 1e-12 of
-    the leading eigenspace. Without a certificate, and without a bound, they
-    come from ``eigh``, so a bound that is 0, at least s_rank or never
-    certified gives the bound-free result bit for bit.
-
-    ``y`` may also be a stack (..., n, p); then ``basis`` is (..., n, rank),
-    ``values`` is (..., rank), and ``tail_bound`` bounds every item. The
-    stack runs through one stacked call per step, each item certified on its
-    own, and each item's result is bit for bit that of truncating it alone.
+    ``y`` may also be a :class:`SignalPlusNoise` stack of k items, the only
+    input that takes a ``tail_bound`` (see ``_truncate_factored``). Then
+    ``basis`` is (k, n, rank) and ``values`` (k, rank).
     """
-    y = as_matrix(y, stack=True)
-    lead, (n, p) = y.shape[:-2], y.shape[-2:]
+    if isinstance(y, SignalPlusNoise):
+        return _truncate_factored(y, rank, tail_bound)
+    if tail_bound is not None:
+        raise InvalidInput("tail_bound is taken only with a SignalPlusNoise stack")
+    y = as_matrix(y)
+    n, p = y.shape
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
     if rank == 0:
-        return Truncation(np.zeros(lead + (n, 0)), np.zeros(lead + (0,)))
-    y = y.reshape((-1, n, p))
-    scale = np.max(np.abs(y), axis=(1, 2))
-    if not scale.all():
-        scale[scale == 0.0] = 1.0
-    z = y / scale[:, None, None]
-    g = z @ mt(z) if n <= p else mt(z) @ z
-    ok = None
+        return Truncation(np.zeros((n, 0)), np.zeros(0))
+    scale = np.max(np.abs(y)) or 1.0
+    z = y / scale
+    basis = _top_eigh(z @ z.T if n <= p else z.T @ z, rank)
+    if n > p:
+        basis = _sign_fixed_qr(z @ basis)
+    values = np.linalg.norm(basis.T @ z, axis=1)
+    order = np.argsort(-values, kind="stable")
+    return Truncation(basis[:, order], scale * values[order])
+
+
+def _factored_gram(y: SignalPlusNoise):
+    """(g, us / c, noise / c, c): the Gram matrix ``g`` of each item of ``y`` over its scale c.
+
+    c = max(max|us|, noise_1), so that no entry of the Gram matrix can
+    overflow or underflow; ``noise / c`` is (k, m). With ``pu = frame^T us``
+    and all quantities over c, the Gram matrix is diag(noise^2) + L M L^T
+    with L of 2r columns: for p >= n it is ``frame^T y y^T frame``, with
+    L = [pu, noise * w] and M = [[I, I], [I, 0]] (W^T W = I removes the rows
+    of W past m); for p < n it is ``y^T y``, with L = [w, noise * pu] and
+    M = [[us^T us, I], [I, 0]].
+    """
+    frame, noise, us, w = y
+    n, m = frame.shape
+    k, r = us.shape[0], us.shape[-1]
+    scale = np.maximum(np.max(np.abs(us), axis=(1, 2), initial=0.0), noise[0])
+    scale[scale == 0.0] = 1.0
+    us = us / scale[:, None, None]
+    noise = noise / scale[:, None]
+    pu = mt(frame) @ us
+    eye = np.eye(r)
+    mid = np.zeros((k, 2 * r, 2 * r))
+    mid[:, :r, r:] = mid[:, r:, :r] = eye
+    if m == n:
+        l = np.concatenate([pu, noise[..., None] * w], axis=-1)
+        mid[:, :r, :r] = eye
+    else:
+        l = np.concatenate([w, noise[..., None] * pu], axis=-1)
+        mid[:, :r, :r] = mt(us) @ us
+    return _Gram(noise * noise, l, mid), us, noise, scale
+
+
+def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
+    """``truncate`` of each item of a factored stack, through its Gram matrix in factored form.
+
+    The Gram matrix G of each item over its scale comes from
+    ``_factored_gram``. For its leading eigenvectors x, the basis is
+    ``frame x`` if p >= n, and the sign-fixed QR of
+    ``y x = us (w^T x) + frame (noise * x)`` if p < n. ``values`` are the
+    square roots of the Rayleigh quotients x^T G x.
+
+    ``tail_bound``, if given, must bound s_{rank+1} of every item from above.
+    The leading eigenvectors then come from ``_filtered_top``, a
+    Chebyshev-filtered block iteration that damps the Gram spectrum below
+    ``(tail_bound / c)^2`` and applies the Gram matrix in O(m r^2), and are kept
+    only under a certificate: Kahan's residual bound places ``rank``
+    eigenvalues above the damped range, and the Davis-Kahan bound puts the
+    returned eigenvectors within sin-angle FILTER_TOL of the leading
+    eigenspace. Items without a certificate, and all items without a bound,
+    take ``eigh`` of the formed m x m Gram matrix, so a bound that is 0, at
+    least s_rank or never certified gives the bound-free result bit for bit.
+    Each item's result is bit for bit that of truncating it alone.
+    """
+    n, m = y.frame.shape
+    k = len(y.us)
+    if rank < 0 or rank > m:
+        raise InvalidInput(f"rank must lie in [0, {m}], got {rank}")
+    if rank == 0:
+        return Truncation(np.zeros((k, n, 0)), np.zeros((k, 0)))
+    g, us, noise, scale = _factored_gram(y)
+    x, ok = np.empty((k, m, rank)), np.zeros(k, dtype=bool)
     if tail_bound is not None and tail_bound > 0:
         t = float(tail_bound) / scale
         x, ok = _filtered_top(g, rank, t * t)
-    if ok is None or not ok.any():
-        basis, values = _left_vectors(z, _top_eigh(g, rank))
-    elif ok.all():
-        basis, values = _left_vectors(z, x)
+    if not ok.all():
+        x[~ok] = _top_eigh(g.take(~ok).dense(), rank)
+    values = np.sqrt(np.maximum(np.sum(x * g.apply(x), axis=-2), 0.0))
+    if m == n:
+        basis = y.frame @ x
     else:
-        # Certified and uncertified items go through separate calls, so that
-        # each item meets the operand layout of its own 2-D call.
-        basis = np.empty((len(z), n, rank))
-        values = np.empty((len(z), rank))
-        basis[ok], values[ok] = _left_vectors(z[ok], x[ok])
-        basis[~ok], values[~ok] = _left_vectors(z[~ok], _top_eigh(g[~ok], rank))
+        basis = _sign_fixed_qr(us @ (mt(y.w) @ x) + y.frame @ (noise[..., None] * x))
     order = np.argsort(-values, axis=-1, kind="stable")
-    values = scale[:, None] * values[np.arange(len(z))[:, None], order]
-    return Truncation(_columns(basis, order).reshape(lead + (n, rank)),
-                      values.reshape(lead + (rank,)))
+    return Truncation(np.take_along_axis(basis, order[:, None, :], axis=-1),
+                      scale[:, None] * np.take_along_axis(values, order, axis=-1))
 
 
 def _top_eigh(g, rank: int) -> np.ndarray:
-    """The leading ``rank`` eigenvectors of each symmetric ``g`` by ``eigh``, descending."""
+    """The leading ``rank`` eigenvectors of each symmetric ``g`` by ``eigh``, descending.
+
+    Leading eigenvectors come first: a QR of their image must orthogonalize
+    round-off columns against the signal ones, not the other way round.
+    """
     return np.linalg.eigh(g)[1][..., :-rank - 1:-1]
 
 
-def _left_vectors(z, vectors):
-    """(basis, values) of ``truncate`` from the leading Gram eigenvectors, unsorted.
-
-    Leading eigenvectors come first: the QR must orthogonalize round-off
-    columns against the signal ones, not the other way round.
-    """
-    basis = vectors
-    if z.shape[-2] > z.shape[-1]:
-        q, rr = np.linalg.qr(z @ basis)
-        basis = q * np.copysign(1.0, np.diagonal(rr, axis1=-2, axis2=-1))[..., None, :]
-    return basis, np.linalg.norm(mt(basis) @ z, axis=-1)
+def _sign_fixed_qr(a) -> np.ndarray:
+    """The Q factor of each matrix of ``a``, its columns signed so that R has a non-negative diagonal."""
+    q, rr = np.linalg.qr(a)
+    return q * np.copysign(1.0, np.diagonal(rr, axis1=-2, axis2=-1))[..., None, :]

@@ -8,9 +8,10 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       generate, haar_basis, misspecify_ranks, principal_spectrum,
                       rotate_align, select_rank, Truncation, truncate)
 import ppdecomp.bootstrap
-from ppdecomp.bootstrap import (_block_size, _frame_replicate, _haar_pair_rng,
-                                _noise_replicate_rng, _row_basis_rng, _row_frame, _tail_bound)
+from ppdecomp.bootstrap import (_block_size, _haar_pair_rng, _noise_replicate_rng,
+                                _replicates, _row_basis_rng, _row_frame, _tail_bound)
 from ppdecomp.linalg import mt
+from ppdecomp.ranksel import _factored_gram
 from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -104,9 +105,52 @@ def _qr_row_basis(v, n):
 
 
 def _haar_row_basis(p, n, r, rng):
-    """Reference row draw: a full Haar (p, r) frame per generator, read as
-    ``_qr_row_basis``."""
-    return _qr_row_basis(haar_basis(p, r, rng), n)
+    """Reference row draw: the first min(n, p) rows of a full Haar (p, r)
+    frame per generator."""
+    return haar_basis(p, r, rng)[..., :min(n, p), :]
+
+
+def _k_row_basis(p, n, r, rng):
+    """Reference row draw of the dense stand-in route: (v_m, k) with
+    k k^T = v[m:]^T v[m:] (None when p <= n), from the Gaussians that
+    ``_row_basis_rng`` draws, in the same order."""
+    m = min(n, p)
+    if p == m:
+        return haar_basis(p, r, rng), None
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    d = p - m
+    gm = np.empty((len(rngs), m, r))
+    low = np.empty((len(rngs), min(d, r), r))
+    chi2 = np.empty((len(rngs), r))
+    for gen, gm_i, low_i, chi2_i in zip(rngs, gm, low, chi2):
+        gen.standard_normal(out=gm_i)
+        gen.standard_normal(out=low_i)
+        if d >= r:
+            chi2_i[:] = gen.chisquare(d - np.arange(r))
+    if d >= r:
+        low = np.tril(low, -1)
+        low[:, np.arange(r), np.arange(r)] = np.sqrt(chi2)
+    else:
+        low = mt(low)
+    c_inv = np.linalg.inv(np.linalg.cholesky(mt(gm) @ gm + low @ mt(low)))
+    v_m, k = gm @ mt(c_inv), c_inv @ low
+    return (v_m[0], k[0]) if single else (v_m, k)
+
+
+def _frame_replicate(us, v_m, k, rt):
+    """Reference dense stand-in z = [us v_m^T + rt, us k], with z z^T = y y^T
+    for the replicate y = us (O v)^T + e, rt the coordinates of e in its row
+    frame (``k`` is None when p <= n)."""
+    z = us @ mt(v_m) + rt
+    if k is None:
+        return z
+    return np.concatenate([z, us @ k], axis=-1)
+
+
+def _rt(e):
+    """Reference row-frame coordinates rt of e = rt q^T, from the QR of e^T."""
+    return np.linalg.qr(e.T, mode="r").T
 
 
 @pytest.mark.parametrize("p,n,r", [(12, 20, 5), (20, 20, 5), (23, 20, 5), (24, 20, 5),
@@ -115,10 +159,14 @@ def _haar_row_basis(p, n, r, rng):
                               "wide", "walkthrough"])
 def test_row_basis_draw_is_orthonormal(p, n, r):
     # v_m^T v_m + k k^T = v^T v = I in every branch: p = m, 0 < p - m < r,
-    # and p - m >= r (the Bartlett factor).
-    rng = np.random.default_rng(p)
+    # and p - m >= r (the Bartlett factor). The draw returns v_m alone, bit
+    # for bit the reference's, because this identity lets the Gram matrix of a
+    # replicate do without k.
+    rng, ref = np.random.default_rng(p), np.random.default_rng(p)
     for _ in range(20):
-        v_m, k = _row_basis_rng(p, n, r, rng)
+        v_m = _row_basis_rng(p, n, r, rng)
+        ref_m, k = _k_row_basis(p, n, r, ref)
+        assert np.array_equal(v_m, ref_m)
         assert v_m.shape == (min(n, p), r)
         gram = v_m.T @ v_m
         if p <= n:
@@ -130,7 +178,7 @@ def test_row_basis_draw_is_orthonormal(p, n, r):
     if 0 < p - n < r:
         # G_m and G_rest are consecutive rows of the Gaussian that
         # haar_basis(p, r) would draw, so v_m is its first m rows.
-        v_m, _ = _row_basis_rng(p, n, r, np.random.default_rng(0))
+        v_m = _row_basis_rng(p, n, r, np.random.default_rng(0))
         assert np.allclose(v_m, haar_basis(p, r, np.random.default_rng(0))[:n], atol=1e-12)
 
 
@@ -141,7 +189,7 @@ def test_row_basis_draw_has_haar_moments(p, n, r):
     # degree or a Bartlett factor built upper instead of lower triangular
     # moves some diagonal entry by many standard errors.
     rng = np.random.default_rng(p + r)
-    grams = np.array([v_m.T @ v_m for v_m, _ in
+    grams = np.array([v_m.T @ v_m for v_m in
                       (_row_basis_rng(p, n, r, rng) for _ in range(3000))])
     diag = grams[:, np.arange(r), np.arange(r)]
     se = diag.std(axis=0, ddof=1) / np.sqrt(diag.shape[0])
@@ -164,43 +212,66 @@ def test_row_basis_draw_never_forms_a_wide_frame(monkeypatch):
 
 
 @pytest.mark.parametrize("n,p,noise", [(20, 40, 1.0), (20, 23, 1.0), (20, 20, 1.0),
-                                       (20, 12, 1.0), (20, 40, 0.0), (20, 12, 0.0)],
-                         ids=["wide", "barely-wide", "square", "tall", "wide-e0", "tall-e0"])
+                                       (20, 12, 1.0), (20, 40, 0.0), (20, 12, 0.0),
+                                       (20, 25, 1.0), (20, 400, 1.0)],
+                         ids=["wide", "barely-wide", "square", "tall", "wide-e0", "tall-e0",
+                              "wide-by-r", "very-wide"])
 def test_frame_replicate_has_the_replicate_gram(n, p, noise):
-    # p >= n + r, n < p < n + r, p = n, p < n, and noise-free data. The
-    # stand-in must reproduce y y^T of the replicate y = us (O v)^T + e, with
-    # O = [q q_perp] the completed row frame of e, and hence the truncation
-    # of y itself.
+    # p >= n + r, n < p < n + r, p = n + r, p >> n, p = n, p < n, and
+    # noise-free data, at scales 1 and 1e+-150. The reference stand-in z
+    # reproduces y y^T of the replicate y = us (O v)^T + e, with O = [q q_perp]
+    # the completed row frame of e. The factored Gram matrix of the same
+    # replicate, over its scale c, must be P^T z z^T P / c^2 for p >= n and
+    # H^T z^T z H / c^2 for p < n, with rt = P diag(sigma) H^T; its products
+    # and diagonal must be those of the formed matrix; and truncating it must
+    # give the truncation of y itself.
     r = 5
     rng = np.random.default_rng(n + p)
-    e = noise * rng.standard_normal((n, p))
-    us = qr_basis(n, r, rng) * np.linspace(30.0, 10.0, r)
+    e0 = noise * rng.standard_normal((n, p))
+    us0 = qr_basis(n, r, rng) * np.linspace(30.0, 10.0, r)
     v = qr_basis(p, r, rng)
-    o = np.linalg.qr(e.T, mode="complete")[0]
-    y = us @ (o @ v).T + e
-    rt = _row_frame(e)
-    z = _frame_replicate(us, *_qr_row_basis(v, n), rt)
-    assert z.shape == (n, n + min(p - n, r) if p > n else p)
-    assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
-    assert np.max(np.abs(projector(truncate(z, r).basis)
-                         - projector(truncate(y, r).basis))) <= 1e-10
-    # Weyl: the signal has rank r, so s_{r+1} <= |e|_2 = |rt|_2. Without
-    # noise, s_{r+1} of the computed z is round-off of its leading value.
-    s = np.linalg.svd(z, compute_uv=False)
-    assert s[r] <= np.linalg.norm(rt, 2) * (1.0 + 1e-12) + 1e-14 * s[0]
+    x = rng.standard_normal((1, min(n, p), 3))
+    for scale in (1.0, 1e150, 1e-150):
+        e, us = scale * e0, scale * us0
+        o = np.linalg.qr(e.T, mode="complete")[0]
+        y = us @ (o @ v).T + e
+        rt = _rt(e)
+        v_m, k = _qr_row_basis(v, n)
+        z = _frame_replicate(us, v_m, k, rt)
+        assert z.shape == (n, n + min(p - n, r) if p > n else p)
+        frame = _row_frame(e)
+        g, _, _, c = _factored_gram(_replicates(us[None], v_m[None], frame))
+        zc = z / c[0]
+        if p >= n:
+            ref = frame[0].T @ (zc @ zc.T) @ frame[0]
+        else:
+            ref = frame[2] @ (zc.T @ zc) @ frame[2].T
+        dense = g.dense()
+        assert np.linalg.norm(dense[0] - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+        assert np.allclose(g.apply(x), dense @ x, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+        assert np.allclose(g.diagonal(), dense.diagonal(0, -2, -1), rtol=1e-12, atol=0.0)
+        if scale == 1.0:
+            assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
+            # Weyl: the signal has rank r, so s_{r+1} <= |e|_2 = |rt|_2 = sigma_1.
+            # Without noise, s_{r+1} of the computed z is round-off of s_1.
+            s = np.linalg.svd(z, compute_uv=False)
+            assert s[r] <= frame[1][0] * (1.0 + 1e-12) + 1e-14 * s[0]
+            assert frame[1][0] == pytest.approx(np.linalg.norm(rt, 2), rel=1e-12, abs=0.0)
+        basis = truncate(_replicates(us[None], v_m[None], frame), r).basis[0]
+        assert np.max(np.abs(projector(basis) - projector(truncate(y, r).basis))) <= 1e-10
 
 
 def test_tail_bound_screen():
-    # The bound |rt|_2 is passed only if every retained column is signal, the
+    # The bound |e|_2 is passed only if every retained column is signal, the
     # noise is above round-off of the leading value, and s_r clears it by 1.5.
     trunc = Truncation(np.eye(6, 3), np.array([9.0, 6.0, 3.0]))
-    rt = np.diag([1.0, 0.5])
-    assert _tail_bound(trunc, 3, rt) == 1.0
-    assert _tail_bound(trunc, 2, rt) is None               # k < r
-    assert _tail_bound(trunc, 3, 0.0 * rt) is None         # sigma_hat = 0 on noise-free data
-    assert _tail_bound(trunc, 3, 9e-13 * rt) is None       # round-off noise
-    assert _tail_bound(trunc, 3, 2.0 * rt) is None         # s_r = 1.5 |e|_2
-    assert _tail_bound(trunc, 3, 2.5 * rt) is None
+    sv = np.array([1.0, 0.5])   # singular values of the noise e
+    assert _tail_bound(trunc, 3, sv) == 1.0
+    assert _tail_bound(trunc, 2, sv) is None               # k < r
+    assert _tail_bound(trunc, 3, 0.0 * sv) is None         # sigma_hat = 0 on noise-free data
+    assert _tail_bound(trunc, 3, 9e-13 * sv) is None       # round-off noise
+    assert _tail_bound(trunc, 3, 2.0 * sv) is None         # s_r = 1.5 |e|_2
+    assert _tail_bound(trunc, 3, 2.5 * sv) is None
 
 
 def _over_ranks(cfg):
@@ -288,33 +359,13 @@ def test_epsilon1_same_law_as_svd_haar_pair(monkeypatch):
     assert abs(np.mean(z)) <= 1.0
 
 
-def _q_row_frame(e):
-    """Reference row frame with its orthonormal factor formed: e = rt q^T."""
-    q, r = np.linalg.qr(e.T)
-    return q, r.T
-
-
-def _q_frame_replicate(us, v, q, rt):
-    """Reference stand-in for y = us v^T + rt q^T, which reads v through q,
-    for each replicate of the stacks ``us`` and ``v``.
-
-    Its part outside col(q), of Gram C = I - a^T a with a = q^T v, is carried
-    by the extra block us C^(1/2).
-    """
-    a = q.T @ v
-    z = us @ mt(a) + rt
-    if q.shape[0] == q.shape[1]:
-        return z
-    lam, w = np.linalg.eigh(np.eye(a.shape[-1]) - mt(a) @ a)
-    c_half = (w * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ mt(w)
-    return np.concatenate([z, us @ c_half], axis=-1)
-
-
 @pytest.mark.parametrize("n,dims", [(50, (80, 100)), (100, (40, 60))], ids=["wide", "tall"])
 def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
     # Reading v in the noise's own coordinates replicates y = us (O v)^T + e
     # instead of us v^T + e; O v is Haar too, so epsilon_1 may differ only
-    # within its Monte-Carlo error. The reference keeps the noise and forms q.
+    # within its Monte-Carlo error. The reference draws the full v and takes
+    # the thin SVD P diag(sigma) F^T of e itself, so that w = F^T v holds the
+    # first rows of v read in e's right singular frame.
     def estimates(seed):
         cfg = SimConfig(snr=2.0, seed=seed, **{**FIVE_CFG, "n": n, "dims": dims,
                                                "angle_deg": 30.0})
@@ -323,11 +374,10 @@ def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
                                  BootstrapConfig(replicates=100, seed=seed + 300))
 
     new = [estimates(seed) for seed in range(20)]
-    monkeypatch.setattr(ppdecomp.bootstrap, "_row_frame", lambda e: e)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_row_frame",
+                        lambda e: np.linalg.svd(e, full_matrices=False))
     monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng",
-                        lambda p, n, r, rng: (haar_basis(p, r, rng), None))
-    monkeypatch.setattr(ppdecomp.bootstrap, "_frame_replicate",
-                        lambda us, v, _, e: _q_frame_replicate(us, v, *_q_row_frame(e)))
+                        lambda p, n, r, rng: haar_basis(p, r, rng))
     old = [estimates(seed) for seed in range(20)]
     z = [(a.epsilon1_hat - b.epsilon1_hat)
          / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
@@ -338,9 +388,9 @@ def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
 @pytest.mark.parametrize("dims", [(80, 100), (54, 56)], ids=["wide", "barely-wide"])
 def test_epsilon1_same_law_as_full_width_row_draw(monkeypatch, dims):
     # The Bartlett row draw (p - m >= r) and the direct one (p - m < r) have
-    # the law of the first m rows and the rest's Gram of a full Haar (p, r)
-    # frame, so epsilon_1 may differ only within its Monte-Carlo error. The
-    # reference draws that frame and takes the R factor of its last p - m rows.
+    # the law of the first m rows of a full Haar (p, r) frame, so epsilon_1
+    # may differ only within its Monte-Carlo error. The reference draws that
+    # frame and keeps its first m rows.
     # Barely wide, both draws read the same Gaussian, so they agree to round-off.
     def estimates(seed):
         cfg = SimConfig(snr=2.0, seed=seed, **{**FIVE_CFG, "dims": dims, "angle_deg": 30.0})
@@ -388,13 +438,48 @@ def test_epsilon1_does_not_depend_on_the_block_size(monkeypatch, shape, ranks):
         assert outcomes == [True] * 42
 
 
+def _truncate_each(z, rank, tail_bound):
+    """Reference re-truncation of a stack of dense stand-ins: the bound-free
+    2-D ``truncate`` of each."""
+    return Truncation(np.stack([truncate(item, rank).basis for item in z]), None)
+
+
+@pytest.mark.parametrize("shape,ranks", [(FIVE_CFG, None), (WIDE_CFG, (16, 16)),
+                                         ({**FIVE_CFG, "n": 90, "dims": (40, 60)}, None)],
+                         ids=["table1", "wide", "tall"])
+def test_epsilon1_matches_the_dense_stand_in_route(monkeypatch, shape, ranks):
+    # A replicate's factored Gram matrix is that of its dense stand-in
+    # z = [us v_m^T + rt, us k], rotated into the noise's singular frame, so
+    # every per-replicate value must agree to round-off with the route that
+    # forms z and truncates it with eigh. Skipping the rotation (w = v_m)
+    # keeps the law but not the values; dropping the signal-noise cross term
+    # changes both.
+    views, _ = generate(SimConfig(snr=2.0, seed=3, **shape))
+    ranks = ranks or [select_rank(y).rank for y in views]
+    truncs = [truncate(y, r) for y, r in zip(views, ranks)]
+    sigmas = [select_rank(y).sigma_hat for y in views]
+
+    def per_replicate():
+        return estimate_epsilon1(views[0], views[1], *truncs, *sigmas,
+                                 BootstrapConfig(replicates=6, seed=5)).per_replicate
+
+    factored = per_replicate()
+    monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng", _k_row_basis)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_replicates", lambda us, v, frame: _frame_replicate(
+        us, *v, (frame[0] * frame[1]) @ frame[2]))
+    monkeypatch.setattr(ppdecomp.bootstrap, "truncate", _truncate_each)
+    dense = per_replicate()
+    assert np.max(np.abs(factored - dense)) <= 1e-12
+
+
 def test_block_size_from_footprint(monkeypatch):
-    # Stand-ins of 50 x (80, 100) at ranks 9, 8 are 50 x 59 and 50 x 58, each
-    # with a 50 x 50 Gram matrix: 86800 bytes a replicate.
+    # A replicate of 50 x (80, 100) at ranks 9, 8 holds, per view, us
+    # (50 x r), w (50 x r), the Gram factor (50 x 2r) and a 50 x 50 Gram
+    # matrix: 8 (4300 + 4100) = 67200 bytes.
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 1000)
-    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 86800 + 1)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 67200 + 1)
     assert _block_size(50, 9, 8, 80, 100) == 10
-    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 86800 - 1)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 67200 - 1)
     assert _block_size(50, 9, 8, 80, 100) == 9
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1)
     assert _block_size(50, 9, 8, 80, 100) == 1

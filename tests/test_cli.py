@@ -77,6 +77,9 @@ def _loop_read_matrix_csv(path, has_header=False):
                         line=lineno)
                 parsed = []
                 for col, cell in enumerate(fields, start=1):
+                    if cell.startswith("\ufeff") and (lineno, col) == (1, 1):
+                        raise ParseError(f"{path}: UTF-8 byte-order mark at line 1, column 1; "
+                                         "save the file without it", line=1, col=1)
                     try:
                         if "_" in cell or not cell.isascii():   # outside the dialect
                             raise ValueError
@@ -155,6 +158,16 @@ def test_read_matrix_csv_agrees_with_the_loop(tmp_path, case, has_header):
     path.write_bytes(CSV_CORPUS[case])
     assert _outcome(read_matrix_csv, path, has_header) == _outcome(
         _loop_read_matrix_csv, path, has_header)
+
+
+def test_read_matrix_csv_names_the_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with EF BB BF; the error names it
+    # instead of calling the first cell non-numeric.
+    path = tmp_path / "m.csv"
+    path.write_bytes(CSV_CORPUS["bom"])
+    with pytest.raises(ParseError, match="UTF-8 byte-order mark at line 1, column 1") as exc:
+        read_matrix_csv(path)
+    assert (exc.value.line, exc.value.col) == (1, 1)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -462,6 +475,7 @@ HOSTILE = {
     "view-not-utf8": _latin1_views,
     "view-underscore-cell": lambda t: _edited_view(t, b"1_000"),
     "view-non-ascii-digit": lambda t: _edited_view(t, "\uff11".encode()),
+    "view-byte-order-mark": lambda t: _edited_view(t, b"\xef\xbb\xbf1"),
     "simulate-zero-bootstrap-reps": lambda t: _sim_config(
         t, SIM_CONFIG.replace("bootstrap_reps = 8", "bootstrap_reps = 0")),
     "simulate-negative-seed": lambda t: _sim_config(t, SIM_CONFIG.replace("seed = 3",

@@ -6,6 +6,7 @@ import pytest
 from ppdecomp import (InvalidInput, SimConfig, generate, gd_coefficient,
                       marchenko_pastur_median, mp_median_sv, select_rank,
                       truncate)
+from ppdecomp.ranksel import SignalPlusNoise
 from conftest import count_filtered, projector, qr_basis
 
 
@@ -41,6 +42,18 @@ def test_mp_median_quadrature_resolution_consistency():
         coarse = marchenko_pastur_median(beta, nodes=200)
         fine = marchenko_pastur_median(beta, nodes=800)
         assert abs(coarse - fine) < 1e-6
+
+
+def test_mp_median_is_bisected_once_per_shape(monkeypatch):
+    # A second view of the same shape reuses the cached Marchenko-Pastur
+    # median: no quadrature runs, and the value is the same float.
+    import ppdecomp.ranksel
+    y = np.random.default_rng(0).standard_normal((37, 53))
+    first = select_rank(y)
+    calls = []
+    monkeypatch.setattr(ppdecomp.ranksel, "edge_quadrature", lambda *a: calls.append(a) or 0.0)
+    again = select_rank(2.0 * y)
+    assert calls == [] and again.mp_median == first.mp_median
 
 
 def test_estimate_noise_sigma_scale_equivariance():
@@ -190,18 +203,51 @@ def test_truncate_matches_svd(shape):
         assert scaled.values / scale == pytest.approx(trunc.values, rel=1e-12)
 
 
+def _factored(n, p, strengths, noise, seed, scale=1.0):
+    """A SignalPlusNoise stack, one item per entry of ``strengths`` (padded
+    with zeros to a common rank), all sharing one noise draw, and the dense
+    n x p matrices u v^T + e that it stands for.
+
+    With e = P diag(sigma) F^T its thin SVD, u v^T + e reads u (F^T v)^T +
+    P diag(sigma) in the right frame F completed, so w = F^T v.
+    """
+    rng = np.random.default_rng(seed)
+    e = noise * rng.standard_normal((n, p))
+    frame, sigma, ft = np.linalg.svd(e, full_matrices=False)
+    r = max(len(s) for s in strengths)
+    us, w, dense = [], [], []
+    for s in strengths:
+        u = qr_basis(n, r, rng) * np.pad(np.asarray(s, float), (0, r - len(s)))
+        v = qr_basis(p, r, rng)
+        us.append(u)
+        w.append(ft @ v)
+        dense.append(u @ v.T + e)
+    return (SignalPlusNoise(frame, scale * sigma, scale * np.stack(us), np.stack(w)),
+            scale * np.stack(dense))
+
+
+def _item(stack, k):
+    """Item ``k`` of a SignalPlusNoise stack, as a stack of one."""
+    return stack._replace(us=stack.us[k:k + 1], w=stack.w[k:k + 1])
+
+
 @SHAPES
 def test_truncate_tail_bound_matches_bound_free(shape, monkeypatch):
     # A valid bound on s_7 takes the certified filter, which agrees with the
-    # eigh route to round-off, at any scale.
-    y = _planted(*shape, np.linspace(10.0, 5.0, 6), 0.1, seed=sum(shape))
-    s = np.linalg.svd(y, compute_uv=False)
+    # eigh route to round-off, at any scale; both agree with the dense
+    # truncation of the matrix that the factored stack stands for.
     outcomes = count_filtered(monkeypatch)
     for scale in (1.0, 1e150, 1e-150):
+        stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.1, seed=sum(shape),
+                             scale=scale)
+        s = np.linalg.svd(y[0] / scale, compute_uv=False)
+        free = truncate(stack, 6)
+        dense = truncate(y[0], 6)
+        assert _projector_gap(free.basis[0], dense.basis) <= 1e-12
+        assert np.all(np.abs(free.values[0] - dense.values) <= 1e-12 * dense.values)
         for bound in (s[6], 2.0 * s[6]):
-            free = truncate(y * scale, 6)
-            bounded = truncate(y * scale, 6, bound * scale)
-            assert _projector_gap(bounded.basis, free.basis) <= 1e-12
+            bounded = truncate(stack, 6, bound * scale)
+            assert _projector_gap(bounded.basis[0], free.basis[0]) <= 1e-12
             assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values)
             assert np.all(np.diff(bounded.values) <= 0.0)
     assert outcomes == [True] * 6
@@ -211,12 +257,12 @@ def test_truncate_tail_bound_matches_bound_free(shape, monkeypatch):
 def test_truncate_useless_tail_bound_is_bit_identical(shape, monkeypatch):
     # A bound at or above s_r cannot be certified, and a bound of 0 is not
     # tried; either way the eigh route runs. The first two do enter the filter.
-    y = _planted(*shape, np.linspace(10.0, 5.0, 6), 0.1, seed=sum(shape))
-    s = np.linalg.svd(y, compute_uv=False)
-    free = truncate(y, 6)
+    stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.1, seed=sum(shape))
+    s = np.linalg.svd(y[0], compute_uv=False)
+    free = truncate(stack, 6)
     outcomes = count_filtered(monkeypatch)
     for bound in (s[5], 0.5 * (s[4] + s[5]), 2.0 * s[0], 0.0):
-        bounded = truncate(y, 6, bound)
+        bounded = truncate(stack, 6, bound)
         assert np.array_equal(bounded.basis, free.basis)
         assert np.array_equal(bounded.values, free.values)
     assert len(outcomes) >= 2 and not any(outcomes)
@@ -230,13 +276,18 @@ def test_truncate_round_off_tail_bound_raises_no_float_error(shape, monkeypatch)
     # underflow either way.
     outcomes = count_filtered(monkeypatch)
     for strengths in (np.linspace(10.0, 5.0, 6), np.linspace(10.0, 5.0, 4)):
-        y = _planted(*shape, strengths, 1e-16, seed=sum(shape))
-        free = truncate(y, 6)
+        stack, y = _factored(*shape, [strengths], 1e-16, seed=sum(shape))
+        free = truncate(stack, 6)
         with np.errstate(all="raise"):
-            bounded = truncate(y, 6, 1e-13 * np.linalg.norm(y, 2))
-        assert _projector_gap(bounded.basis, free.basis) <= 1e-12
-        assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values[0])
+            bounded = truncate(stack, 6, 1e-13 * np.linalg.norm(y[0], 2))
+        assert _projector_gap(bounded.basis[0], free.basis[0]) <= 1e-12
+        assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values[0, 0])
     assert outcomes == [True, False]
+
+
+def test_truncate_tail_bound_needs_a_factored_stack():
+    with pytest.raises(InvalidInput):
+        truncate(np.eye(4), 2, 0.5)
 
 
 def test_truncate_rejects_excessive_rank():
@@ -255,25 +306,23 @@ def test_truncate_stack_matches_per_item(shape, scale, monkeypatch):
     # to round-off, so the outcomes are compared too.
     strengths = [np.linspace(10.0, 5.0, 6), [10.0, 9.0, 8.0, 7.0, 6.0, 0.3],
                  np.linspace(10.0, 5.0, 6), np.linspace(10.0, 5.0, 4)]
-    noise = [0.1, 0.1, 0.1, 0.0]
-    items = np.stack([_planted(*shape, s, e, seed=k)
-                      for k, (s, e) in enumerate(zip(strengths, noise))]) * scale
+    stack, y = _factored(*shape, strengths, 0.1, seed=7, scale=scale)
     bound = 2.0 * scale   # above every s_7, below s_6 of the certified items
     outcomes = count_filtered(monkeypatch)
-    stacked = truncate(items, 6, bound)
+    stacked = truncate(stack, 6, bound)
     stacked_outcomes = outcomes[:]
     outcomes.clear()
-    alone = [truncate(item, 6, bound) for item in items]
+    alone = [truncate(_item(stack, k), 6, bound) for k in range(4)]
     assert stacked_outcomes == outcomes == [True, False, True, False]
     assert stacked.basis.shape == (4, shape[0], 6) and stacked.values.shape == (4, 6)
     for k, one in enumerate(alone):
-        assert _projector_gap(stacked.basis[k], one.basis) <= 1e-12
-        assert np.all(np.abs(stacked.values[k] - one.values) <= 1e-12 * one.values)
-        assert np.array_equal(stacked.basis[k], one.basis)
-        assert np.array_equal(stacked.values[k], one.values)
-    # A stack of stacks keeps its leading shape; a bound-free stack runs eigh.
-    nested = truncate(items.reshape(2, 2, *shape), 6, bound)
-    assert np.array_equal(nested.basis.reshape(stacked.basis.shape), stacked.basis)
-    free = truncate(items, 6)
+        assert _projector_gap(stacked.basis[k], one.basis[0]) <= 1e-12
+        assert np.all(np.abs(stacked.values[k] - one.values[0]) <= 1e-12 * one.values[0])
+        assert np.array_equal(stacked.basis[k], one.basis[0])
+        assert np.array_equal(stacked.values[k], one.values[0])
+    for k in (0, 2):   # the certified items agree with the dense route
+        assert _projector_gap(stacked.basis[k], truncate(y[k], 6).basis) <= 1e-12
+    # A bound-free stack runs eigh, each item as it would alone.
+    free = truncate(stack, 6)
     for k in range(4):
-        assert np.array_equal(free.basis[k], truncate(items[k], 6).basis)
+        assert np.array_equal(free.basis[k], truncate(_item(stack, k), 6).basis[0])
