@@ -63,9 +63,9 @@ numpy calls over a leading replicate axis. A small replicate costs the
 interpreter about as much as LAPACK, about forty calls on 50 x 50 arrays, and
 a block pays that once. Every stacked step computes each replicate as it
 would in a block of its own, bit for bit, so the estimate does not depend on
-the block size. A block holds as many replicates as fit in BLOCK_BYTES of
-factored replicates and fallback Gram matrices, and at most
-BLOCK_REPLICATES: beyond a dozen small replicates the gain stops while peak
+the block size. A block holds as many replicates as fit in BLOCK_BYTES,
+counting an m x m fallback Gram matrix only for a view without a tail bound,
+and at most BLOCK_REPLICATES: beyond a dozen the gain stops while peak
 memory keeps growing (the measurements are with the constants below).
 """
 
@@ -84,13 +84,13 @@ from .ranksel import SignalPlusNoise, Truncation, truncate
 
 VARIANTS = ("rotational", "naive")
 
-# Replicates per block: as many as fit in BLOCK_BYTES of factored replicates
-# and fallback Gram matrices (see ``_block_size``), at most BLOCK_REPLICATES,
-# at least one. Set on the three benchmark workloads, one BLAS thread: 2 MiB
-# holds three replicates of a 167 x (1572, 375) pair at ranks 16,16 (0.62 MB
-# each) and five to seven of the 300 x (90, 120, 150) pairs (0.27-0.39 MB).
-# Replicates of a 50 x (80, 100) pair (0.07 MB) stop gaining at about a dozen
-# per block, while peak RSS keeps growing with each one more.
+# Replicates per block: as many as fit in BLOCK_BYTES (see ``_block_size``),
+# at most BLOCK_REPLICATES, at least one. 2 MiB holds twelve replicates of a
+# bounded 167 x (1572, 375) pair at ranks 16,16 (0.17 MB each). At 3, 6, 12
+# and 24 per block, one BLAS thread, that pair took 3.7, 3.6, 3.1 and 3.3 ms
+# per replicate (traced peak 4.5, 4.5, 7.1 and 12.9 MB), a 300 x (90, 150)
+# pair 2.6, 2.1, 1.8 and 1.7 ms and a 50 x (80, 100) pair 1.4, 0.9, 0.8 and
+# 0.7 ms.
 BLOCK_BYTES = 2 << 20
 BLOCK_REPLICATES = 12
 
@@ -232,18 +232,18 @@ def _replicates(us, v_m, frame) -> SignalPlusNoise:
     return SignalPlusNoise(frame[0], frame[1], us, frame[2] @ v_m)
 
 
-def _block_size(n, r1, r2, p1, p2) -> int:
+def _block_size(n, r1, r2, p1, p2, bound1=None, bound2=None) -> int:
     """Replicates per block: BLOCK_BYTES over a replicate's footprint, within [1, BLOCK_REPLICATES].
 
     The footprint is the bytes, for each view with m = min(n, p), of the
     replicate's signal ``us`` (n x r), its row coordinates ``w`` (m x r),
-    the 2r columns of its Gram factor (m x 2r), and the m x m Gram matrix
-    formed for ``eigh`` where the filter does not certify.
+    the 2r columns of its Gram factor (m x 2r) and, for a view without a
+    tail bound, the m x m Gram matrix formed for ``eigh``.
     """
     footprint = 0
-    for p, r in ((p1, r1), (p2, r2)):
+    for p, r, bound in ((p1, r1, bound1), (p2, r2, bound2)):
         m = min(n, p)
-        footprint += 8 * (n * r + 3 * m * r + m * m)
+        footprint += 8 * (n * r + 3 * m * r + (m * m if bound is None else 0))
     return max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // footprint))
 
 
@@ -303,9 +303,11 @@ def _canonical_order(y1, trunc1, sigma1, y2, trunc2, sigma2):
     def key(y, trunc):
         v = trunc.values
         shape = np.round(v / v[0], 8) if v.size and v[0] > 0 else v
-        return (y.shape[1], v.size, tuple(shape),
-                hashlib.sha256(np.ascontiguousarray(y).tobytes()).digest())
-    if key(y2, trunc2) < key(y1, trunc1):
+        return (y.shape[1], v.size, tuple(shape))
+    key1, key2 = key(y1, trunc1), key(y2, trunc2)
+    if key1 == key2:
+        key1, key2 = (hashlib.sha256(np.ascontiguousarray(y)).digest() for y in (y1, y2))
+    if key2 < key1:
         return (y2, trunc2, sigma2, y1, trunc1, sigma1)
     return (y1, trunc1, sigma1, y2, trunc2, sigma2)
 
@@ -355,7 +357,7 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     bound2 = _tail_bound(trunc2, k2, frame2[1])
 
     vals = np.zeros(b_reps)
-    block = _block_size(n, r1, r2, y1.shape[1], y2.shape[1])
+    block = _block_size(n, r1, r2, y1.shape[1], y2.shape[1], bound1, bound2)
     for start in range(0, b_reps, block):
         rngs = [derive_rng(cfg.seed, STREAM_REPLICATE, b)
                 for b in range(start, min(start + block, b_reps))]

@@ -24,16 +24,15 @@ from .noise import edge_quadrature
 MP_NODES = 400
 
 # The certified top-r eigensolver of ``truncate`` (see ``_filtered_top``),
-# set on bootstrap replicates of 167 x (1572, 375) views at ranks 16,16, of
-# 300 x (90, 120, 150) views and of the Table-1 cells, one BLAS thread.
-# Filter degree: at 8 every replicate certified in two passes, and a
-# 167 x 167 Gram took 0.8 ms against 3.4 ms for ``eigh``; degree 6 took
-# 0.8 ms but needed a third pass on 1 % of replicates, degree 4 failed on
-# 1-4 %, and degree 10 took 1.1 ms.
-FILTER_DEGREE = 8
-# Passes before falling back to ``eigh``: one more than the two that every
-# measured replicate needed; more passes only delay the fallback.
-FILTER_PASSES = 3
+# set on the bootstrap replicates of the seed-1 benchmark workloads, one BLAS
+# thread. Filter degree of each pass: from the signal's directions, a pass at
+# degree 8 stops at a round-off floor, 4e-13 to 4e-10 against FILTER_TOL (at
+# degree 12 it certified 29 of 1200 tall replicates); a degree-2 pass then
+# certified all 800 wide and 1200 tall replicates and 1943 of 2000 Table-1
+# ones (44 in the first pass, 13 in a third): 13 Gram products, where two
+# degree-8 passes from coordinate vectors took 19. Degrees 6 then 2 certified
+# none in the second pass; 6 then 3 left 15 % to a third.
+FILTER_DEGREES = (8, 2, 8)
 # Certified bound on the sine of the largest angle between the returned and
 # the true leading eigenspace; on a seeded snapshot of 90 decompositions it
 # moved the bootstrap's epsilon_1 by at most 1.4e-15 relative.
@@ -200,10 +199,10 @@ def _chebyshev(apply, x, degree: int, b, top) -> np.ndarray:
 
 
 def _filter_degree(b: float, top: float) -> int:
-    """The filter degree for bound ``b`` under the gain cap; 0 if ``b`` is outside (0, top)."""
+    """The highest filter degree for bound ``b`` under the gain cap; 0 if ``b`` is outside (0, top)."""
     if not 0.0 < b < top:
         return 0
-    return min(FILTER_DEGREE, int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
+    return min(max(FILTER_DEGREES), int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
 
 
 def _filtered_top(g: _Gram, rank: int, b):
@@ -215,33 +214,31 @@ def _filtered_top(g: _Gram, rank: int, b):
     ``ok[i]`` True, and is unset elsewhere. Only products with ``g`` are
     taken, never the matrix itself.
 
-    Each pass applies a Chebyshev filter that damps [0, b] to the block,
-    orthonormalizes it and takes Ritz pairs (theta, X) with residual
-    R = g X - X theta. An item's pairs are accepted if theta_r - |R|_F > b:
-    then ``rank`` eigenvalues lie within |R| of the theta (Kahan), all above
-    b, so they are the leading ones; and if |R|_F / (theta_r - b), which
-    bounds sin(angle) to the leading eigenspace (Davis and Kahan, 1970), is
-    below FILTER_TOL. Certified items leave the block; the rest go on. The
-    block starts from the columns of ``g`` with the largest diagonal entries.
-    An item fails after FILTER_PASSES passes without a certificate, or if
-    ``b`` is outside (0, trace g) or so small that the filter's gain would
-    leave the floating-point range. Items filtered to different degrees run
-    in separate groups, and each item is computed as it would be alone.
+    The block starts from g times the first ``rank`` columns of ``g.l``,
+    the signal's own directions (see ``_factored_gram``). Each pass applies
+    a Chebyshev filter of that pass's degree in FILTER_DEGREES that damps
+    [0, b] to the block, orthonormalizes it and takes Ritz pairs (theta, X)
+    with residual R = g X - X theta. An item's pairs are accepted if
+    theta_r - |R|_F > b: then ``rank`` eigenvalues lie within |R| of the
+    theta (Kahan), all above b, so they are the leading ones; and if
+    |R|_F / (theta_r - b), which bounds sin(angle) to the leading eigenspace
+    (Davis and Kahan, 1970), is below FILTER_TOL. Certified items leave the
+    block; the rest go on. An item fails after the last pass, or if ``b`` is
+    outside (0, trace g) or so small that the filter's gain would leave the
+    floating-point range. Items whose gain cap lowers their degrees run in
+    separate groups, and each item is computed as it would be alone.
     """
     diag = g.diagonal()
     top = diag.sum(axis=-1)   # the trace, >= the largest eigenvalue of a PSD g
-    degrees = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
+    caps = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
     x_out = np.empty(diag.shape + (rank,))
     ok = np.zeros(len(diag), dtype=bool)
-    for degree in set(degrees.tolist()) - {0}:
-        act = np.flatnonzero(degrees == degree)
+    for cap in set(caps.tolist()) - {0}:
+        act = np.flatnonzero(caps == cap)
         ga = g if act.size == len(diag) else g.take(act)
-        x = np.zeros((act.size,) + x_out.shape[1:])
-        top_diag = np.argsort(-diag[act], axis=-1, kind="stable")[:, :rank]
-        x[np.arange(act.size)[:, None], top_diag, np.arange(rank)] = 1.0
-        x = ga.apply(x)
-        for _ in range(FILTER_PASSES):
-            x = np.linalg.qr(_chebyshev(ga.apply, x, degree, b[act], top[act]))[0]
+        x = ga.apply(ga.l[..., :rank])
+        for degree in FILTER_DEGREES:
+            x = np.linalg.qr(_chebyshev(ga.apply, x, min(degree, cap), b[act], top[act]))[0]
             gx = ga.apply(x)
             theta, w = np.linalg.eigh(mt(x) @ gx)
             theta, w = theta[:, ::-1], w[:, :, ::-1]
@@ -338,13 +335,13 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
     square roots of the Rayleigh quotients x^T G x.
 
     ``tail_bound``, if given, must bound s_{rank+1} of every item from above.
-    The leading eigenvectors then come from ``_filtered_top``, a
-    Chebyshev-filtered block iteration that damps the Gram spectrum below
-    ``(tail_bound / c)^2`` and applies the Gram matrix in O(m r^2), and are kept
-    only under a certificate: Kahan's residual bound places ``rank``
-    eigenvalues above the damped range, and the Davis-Kahan bound puts the
-    returned eigenvectors within sin-angle FILTER_TOL of the leading
-    eigenspace. Items without a certificate, and all items without a bound,
+    With ``rank`` at most 2r, the columns of L, the leading eigenvectors then
+    come from ``_filtered_top``, a Chebyshev-filtered block iteration from
+    L's first ``rank`` columns that damps the Gram spectrum below
+    ``(tail_bound / c)^2`` and applies the Gram matrix in O(m r^2), and are
+    kept only under a certificate: Kahan's residual bound places ``rank``
+    eigenvalues above the damped range, and the Davis-Kahan bound puts them
+    within sin-angle FILTER_TOL of the leading eigenspace. All other items
     take ``eigh`` of the formed m x m Gram matrix, so a bound that is 0, at
     least s_rank or never certified gives the bound-free result bit for bit.
     Each item's result is bit for bit that of truncating it alone.
@@ -357,7 +354,7 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
         return Truncation(np.zeros((k, n, 0)), np.zeros((k, 0)))
     g, us, noise, scale = _factored_gram(y)
     x, ok = np.empty((k, m, rank)), np.zeros(k, dtype=bool)
-    if tail_bound is not None and tail_bound > 0:
+    if tail_bound is not None and tail_bound > 0 and rank <= g.l.shape[-1]:
         t = float(tail_bound) / scale
         x, ok = _filtered_top(g, rank, t * t)
     if not ok.all():

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       generate, haar_basis, misspecify_ranks, principal_spectrum,
                       rotate_align, select_rank, Truncation, truncate)
 import ppdecomp.bootstrap
-from ppdecomp.bootstrap import (_block_size, _haar_pair_rng, _noise_replicate_rng,
-                                _replicates, _row_basis_rng, _row_frame, _tail_bound)
+import ppdecomp.ranksel
+from ppdecomp.bootstrap import (_block_size, _canonical_order, _haar_pair_rng,
+                                _noise_replicate_rng, _replicates, _row_basis_rng, _row_frame,
+                                _tail_bound)
 from ppdecomp.linalg import mt
 from ppdecomp.ranksel import _factored_gram
 from conftest import count_filtered, prepared_views, projector, qr_basis
@@ -486,6 +489,81 @@ def test_block_size_from_footprint(monkeypatch):
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 4)
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1 << 40)
     assert _block_size(50, 9, 8, 80, 100) == 4
+    # A view with a tail bound reserves no m x m Gram matrix: a bounded
+    # 167 x (1572, 375) pair at ranks 16, 16 holds 8 * 2 * 4 * 167 * 16 =
+    # 171008 bytes, and twelve fit in the default 2 MiB, against three with
+    # both Gram matrices.
+    monkeypatch.undo()
+    assert _block_size(167, 16, 16, 1572, 375, 1.0, 2.0) == 12
+    assert _block_size(167, 16, 16, 1572, 375) == 3
+    # With one bound, only the other view's Gram matrix counts: for
+    # 300 x (90, 150) at ranks 10, 10 that is 8 (300 * 10 + 3 * 90 * 10) +
+    # 8 (300 * 10 + 3 * 150 * 10 + 150^2) = 285600 bytes with the first view
+    # bounded, and 8 (300 * 10 + 3 * 90 * 10 + 90^2) + 8 (300 * 10 + 3 * 150
+    # * 10) = 170400 with the second.
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 1000)
+    for bounds, footprint in (((1.0, None), 285600), ((None, 1.0), 170400)):
+        monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * footprint)
+        assert _block_size(300, 10, 10, 90, 150, *bounds) == 10
+        monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * footprint - 1)
+        assert _block_size(300, 10, 10, 90, 150, *bounds) == 9
+
+
+def _filter_products(monkeypatch, views, ranks):
+    """(products with the Gram matrix, certified) of each item that a
+    seeded decomposition hands the filtered eigensolver, each item run alone."""
+    filtered_top = ppdecomp.ranksel._filtered_top
+    calls = []
+
+    def recorded(g, rank, b):
+        calls.append((g, rank, b))
+        return filtered_top(g, rank, b)
+
+    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", recorded)
+    decompose(*views, ranks=ranks, bootstrap=BootstrapConfig(replicates=12, seed=5))
+    products = []
+    apply = ppdecomp.ranksel._Gram.apply
+    monkeypatch.setattr(ppdecomp.ranksel._Gram, "apply",
+                        lambda g, x: products.append(1) or apply(g, x))
+    out = []
+    for g, rank, b in calls:
+        for i in range(len(b)):
+            products.clear()
+            ok = filtered_top(g.take([i]), rank, b[[i]])[1][0]
+            out.append((len(products), bool(ok)))
+    return out
+
+
+@pytest.mark.parametrize("shape,ranks", [
+    ({**FIVE_CFG, "snr": 2.0, "seed": 1}, (9, 8)),
+    ({**WIDE_CFG, "snr": 2.0, "seed": 1}, (16, 16)),
+    (dict(n=300, dims=(90, 150), joint_rank=4, individual_ranks=(6, 4), angle_deg=60.0,
+          snr=2.0, seed=1), None),
+], ids=["table1", "wide", "tall"])
+def test_filter_certifies_in_thirteen_products(monkeypatch, shape, ranks):
+    # Started from the signal's own directions, a degree-8 pass and a
+    # degree-2 pass certify a replicate: 1 + (8 + 1) + (2 + 1) = 13 products
+    # with the Gram matrix, where two degree-8 passes from coordinate vectors
+    # took 19. The third pass is rare but not excluded: the seed-1 Table-1
+    # workload of the benchmark sends 13 of 2000 items there (22 products),
+    # and the seed-3 draw of this Table-1 shape 4 of its 24.
+    items = _filter_products(monkeypatch, generate(SimConfig(**shape))[0], ranks)
+    assert len(items) == 24
+    assert all(ok and products <= 13 for products, ok in items)
+
+
+def test_canonical_order_hashes_only_on_a_tie(monkeypatch):
+    # Width, rank and relative spectrum decide the order of almost every
+    # pair; the views' bytes are hashed only for a view and a multiple of it.
+    sha256 = hashlib.sha256
+    digests = []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or sha256(data))
+    views, truncs, sigmas, _ = _five_factor_inputs(seed=4, snr=2.0)
+    _canonical_order(views[0], truncs[0], sigmas[0], views[1], truncs[1], sigmas[1])
+    assert digests == []
+    y, r = views[0], truncs[0].basis.shape[1]
+    _canonical_order(y, truncs[0], sigmas[0], 2.0 * y, truncate(2.0 * y, r), 2.0 * sigmas[0])
+    assert len(digests) >= 1
 
 
 def test_epsilon1_deterministic_and_consistent():
