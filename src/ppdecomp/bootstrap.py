@@ -8,34 +8,28 @@ the realized perturbation. The mean over replicates estimates epsilon_1,
 the maximal downward shift of the joint singular values.
 
 A replicate of an n x p view is never formed, at full width or otherwise.
-Once per pair, the noise is factored as e^T = Q R, and the thin SVD
-R^T = P diag(sigma) H^T of its coordinates in the orthonormal frame Q
-(m = min(n, p) columns) is kept. The replicate is
+Once per pair, the noise e is factored by one ``eigh`` of its smaller Gram
+matrix, as a view is (``view_spectrum``): e = P diag(sigma) F^T, with
+m = min(n, p) singular values sigma. The replicate is
 
-    y = U S (O V)^T + e,   O = [Q Q_perp],
+    y = U S (O V)^T + e,   O = [F F_perp],
 
 with V its Haar (p, r) right basis; O V is Haar too, so y is an exact
-replicate. In the right frame [Q H, Q_perp], y reads U S W^T + P diag(sigma)
-[I 0], where W is orthonormal and its first m rows are w = H^T V_m, V_m the
-first m rows of V. So each replicate's Gram matrix, in P's coordinates for
-p >= n and in [Q H]'s for p < n, is diag(sigma^2) plus a term of rank 2r
-built from U S, w and P (Golub, 1973, SIAM Rev. 15, on modified
-eigenproblems); the rows of W past m enter only through W^T W = I.
-``truncate`` takes the replicates in this form (``SignalPlusNoise``), and no
-replicate needs an m x m product unless its filtered eigensolver falls back
-to ``eigh``. V itself is not formed either: ``_row_basis_rng`` draws V_m with
-the law it has under V, in O(m r^2) through a Bartlett factor of the
-Wishart Gram of V's Gaussian rows past m. Only the noise imputation and the
-QR of e^T, once per pair, depend on p.
+replicate. In the right frame O, y reads U S V^T + P diag(sigma) [I 0], so
+its Gram matrix, in P's coordinates for p >= n and in F's for p < n, is
+diag(sigma^2) plus a term of rank 2r built from U S, V_m (the first m rows
+of V) and P (Golub, 1973, SIAM Rev. 15, on modified eigenproblems); the rows
+of V past m enter only through V^T V = I. ``truncate`` takes the replicates
+in this form (``SignalPlusNoise``), and no replicate needs an m x m product
+unless its filtered eigensolver falls back to ``eigh``. Neither F nor V is
+formed: ``_row_basis_rng`` draws V_m with the law it has under V, in
+O(m r^2). Only the noise imputation and the noise frame, once per pair,
+depend on p.
 
-Because e is fixed for the pair, so is a bound on the replicate's tail: with
-at most r nonzero signal strengths, s_{r+1}(y) <= |e|_2 = sigma_1 (Weyl).
-``truncate`` is handed this bound and then takes its basis from a certified
-Chebyshev-filtered eigensolver instead of a full ``eigh``. The bound is
-passed only where the certificate can be met: every retained column carries
-signal, |e|_2 is above the rank rule's round-off floor 1e-12 s_1, and the
-smallest retained value exceeds 1.5 |e|_2. Elsewhere the filter would fall
-back to ``eigh`` after wasted passes, so it is not tried.
+Because e is fixed for the pair, so is a bound on the replicate's tail,
+s_{r+1}(y) <= |e|_2 = sigma_1 (Weyl). Where ``_tail_bound`` finds that the
+certificate can be met, ``truncate`` is handed it and takes its basis from
+a certified Chebyshev-filtered eigensolver instead of a full ``eigh``.
 
 The replicated signal strengths are the observed singular values debiased
 under the spiked noise model: an observed value y of an n x p view with noise
@@ -46,10 +40,9 @@ level sigma comes from a spike of strength s with
 which is inverted for y above the noise edge sigma (sqrt(n) + sqrt(p)); at
 or below the edge the estimate is 0 (the operator-norm shrinker of Gavish
 and Donoho, 2017, Ann. Stat.). A column with zero strength carries no
-signal, so it is not part of the replicate's true subspace. When the
-marginal ranks exceed the signal ranks, the replicate is still truncated at
-the marginal ranks, as the data were, but the surplus columns it picks up do
-not count as perturbation of planted structure.
+signal, so it is not part of the replicate's true subspace: with marginal
+ranks above the signal ranks, the replicate is still truncated at the
+marginal ranks, but its surplus columns do not count as perturbation.
 
 The naive variant skips the re-orientation step; with low rank-to-dimension
 ratios its independently drawn bases are nearly orthogonal, which is why it
@@ -59,14 +52,11 @@ Replicates run in blocks. Replicate b draws its Gaussians from its own
 stream, ``derive_rng(seed, STREAM_REPLICATE, b)``, in a fixed order: the Haar
 pair, then the row basis of the first view, then that of the second. The rest
 of the work (frames, re-truncation, epsilon) runs once per block, as stacked
-numpy calls over a leading replicate axis. A small replicate costs the
-interpreter about as much as LAPACK, about forty calls on 50 x 50 arrays, and
-a block pays that once. Every stacked step computes each replicate as it
-would in a block of its own, bit for bit, so the estimate does not depend on
-the block size. A block holds as many replicates as fit in BLOCK_BYTES,
-counting an m x m fallback Gram matrix only for a view without a tail bound,
-and at most BLOCK_REPLICATES: beyond a dozen the gain stops while peak
-memory keeps growing (the measurements are with the constants below).
+numpy calls over a leading replicate axis: a small replicate costs the
+interpreter about as much as LAPACK, and a block pays that once. Every
+stacked step computes each replicate as it would in a block of its own, bit
+for bit, so the estimate does not depend on the block size
+(``_block_size``).
 """
 
 from __future__ import annotations
@@ -80,17 +70,18 @@ from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
 from .linalg import haar_basis, mt, principal_spectrum
 from .oracle import epsilon_pair
-from .ranksel import SignalPlusNoise, Truncation, truncate
+from .ranksel import SignalPlusNoise, Truncation, truncate, view_spectrum
 
 VARIANTS = ("rotational", "naive")
 
-# Replicates per block: as many as fit in BLOCK_BYTES (see ``_block_size``),
-# at most BLOCK_REPLICATES, at least one. 2 MiB holds twelve replicates of a
-# bounded 167 x (1572, 375) pair at ranks 16,16 (0.17 MB each). At 3, 6, 12
-# and 24 per block, one BLAS thread, that pair took 3.7, 3.6, 3.1 and 3.3 ms
-# per replicate (traced peak 4.5, 4.5, 7.1 and 12.9 MB), a 300 x (90, 150)
-# pair 2.6, 2.1, 1.8 and 1.7 ms and a 50 x (80, 100) pair 1.4, 0.9, 0.8 and
-# 0.7 ms.
+# Replicates per block (see ``_block_size``). BLOCK_BYTES bounds the counted
+# footprint, not the memory: the filter's stacked temporaries are left out.
+# 2 MiB holds twelve bounded 167 x (1572, 375) replicates at ranks 16,16
+# (0.17 MB counted each). At 3, 6, 12 and 24 per block, one BLAS thread, they
+# took 3.7, 3.6, 3.1 and 3.3 ms each, and ``estimate_epsilon1`` (B = 96)
+# peaked at 2.8, 3.5, 6.4 and 12.0 MB under tracemalloc, about 0.46 MB per
+# replicate; 300 x (90, 150) took 2.6, 2.1, 1.8 and 1.7 ms, 50 x (80, 100)
+# 1.4, 0.9, 0.8 and 0.7 ms.
 BLOCK_BYTES = 2 << 20
 BLOCK_REPLICATES = 12
 
@@ -161,24 +152,20 @@ def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
     energy along the estimated left signal directions ``B``; an independent
     Gaussian draw from ``rng`` at level ``sigma_hat``, placed along those
     directions, puts it back. The residual's orthogonal complement is
-    untouched.
+    untouched. Built as ``B (g - B^T y) + y``, so that the n x p result is
+    the only n x p array it allocates.
     """
     if sigma_hat < 0:
         raise InvalidInput("sigma_hat must be >= 0")
     basis = trunc.basis
-    e = y - basis @ (basis.T @ y)
+    coef = -(basis.T @ y)
     r = basis.shape[1]
-    if sigma_hat == 0.0 or r == 0:
-        return e
-    # Restore the noise energy removed with the truncated signal directions.
-    g = sigma_hat * rng.standard_normal((r, y.shape[1]))
-    return e + basis @ g
-
-
-def _row_frame(e):
-    """(P, sigma, H^T): the thin SVD P diag(sigma) H^T of rt, the (n, min(n, p))
-    coordinates of e in an orthonormal frame q of its row space, e = rt q^T."""
-    return np.linalg.svd(np.linalg.qr(e.T, mode="r").T, full_matrices=False)
+    if sigma_hat > 0.0 and r > 0:
+        # Restore the noise energy removed with the truncated signal directions.
+        coef += sigma_hat * rng.standard_normal((r, y.shape[1]))
+    e = basis @ coef
+    e += y
+    return e
 
 
 def _row_basis_rng(p, n, r, rng):
@@ -221,15 +208,12 @@ def _row_basis_rng(p, n, r, rng):
 
 
 def _replicates(us, v_m, frame) -> SignalPlusNoise:
-    """The replicates y = us (O v)^T + e as ``truncate`` takes them.
+    """The replicates y = us (O v)^T + e as ``truncate`` takes them, stacked as ``us`` and ``v_m``.
 
-    O = [q q_perp] completes the noise's row frame q, and ``frame`` is the
-    thin SVD (P, sigma, H^T) of the noise's coordinates rt. In the right
-    frame [q H, q_perp], y reads us W^T + P diag(sigma) [I 0] with W
-    orthonormal and its first m rows H^T v_m. ``us`` and ``v_m`` are stacks
-    over replicates; ``frame`` is shared.
+    ``frame`` is the noise's ``view_spectrum``, e = P diag(sigma) F^T, and O
+    completes F; in the frame O, y reads us v^T + P diag(sigma) [I 0].
     """
-    return SignalPlusNoise(frame[0], frame[1], us, frame[2] @ v_m)
+    return SignalPlusNoise(frame[0], frame[1], us, v_m)
 
 
 def _block_size(n, r1, r2, p1, p2, bound1=None, bound2=None) -> int:
@@ -238,7 +222,9 @@ def _block_size(n, r1, r2, p1, p2, bound1=None, bound2=None) -> int:
     The footprint is the bytes, for each view with m = min(n, p), of the
     replicate's signal ``us`` (n x r), its row coordinates ``w`` (m x r),
     the 2r columns of its Gram factor (m x 2r) and, for a view without a
-    tail bound, the m x m Gram matrix formed for ``eigh``.
+    tail bound, the m x m Gram matrix formed for ``eigh``. It leaves out the
+    filter's stacked temporaries (``_chebyshev``'s iterates, the products of
+    ``_Gram.apply``, each pass's QR and ``eigh``), about twice as much again.
     """
     footprint = 0
     for p, r, bound in ((p1, r1, bound1), (p2, r2, bound2)):
@@ -256,12 +242,10 @@ def _tail_bound(trunc: Truncation, k: int, noise):
     where the filtered eigensolver can certify: every retained column is
     signal (k == r), the noise is above the rank rule's round-off floor
     1e-12 s_1, and the smallest retained value clears it by half again.
+    Elsewhere the filter would fall back to ``eigh`` after wasted passes.
     """
-    values = trunc.values
-    if k < values.size:
-        return None
-    noise_norm = float(noise[0])
-    if 1e-12 * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
+    values, noise_norm = trunc.values, float(noise[0])
+    if k == values.size and 1e-12 * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
         return noise_norm
     return None
 
@@ -345,14 +329,11 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
     k1 = int(np.count_nonzero(s1))
     k2 = int(np.count_nonzero(s2))
-    # The QR consumes each noise matrix; only the SVD of its row-frame
-    # coordinates is kept. The wider view (y2, by the canonical order) goes
-    # first, so that no frame is held while its QR, the largest allocation of
-    # the bootstrap, runs.
-    frame2 = _row_frame(_noise_replicate_rng(y2, trunc2, sigma2,
-                                             derive_rng(cfg.seed, STREAM_NOISE, 1)))
-    frame1 = _row_frame(_noise_replicate_rng(y1, trunc1, sigma1,
-                                             derive_rng(cfg.seed, STREAM_NOISE, 0)))
+    # Each noise is scaled in place and dropped once framed: one n x p at a time.
+    frame2 = view_spectrum(_noise_replicate_rng(y2, trunc2, sigma2,
+                                                derive_rng(cfg.seed, STREAM_NOISE, 1)), True)
+    frame1 = view_spectrum(_noise_replicate_rng(y1, trunc1, sigma1,
+                                                derive_rng(cfg.seed, STREAM_NOISE, 0)), True)
     bound1 = _tail_bound(trunc1, k1, frame1[1])
     bound2 = _tail_bound(trunc2, k2, frame2[1])
 

@@ -2,11 +2,10 @@
 
 Pipeline for two views Y1, Y2 sharing their n rows:
 
-1. pick each view's marginal rank and noise level by the hard-threshold rule
-   (``select_rank``) and estimate its signal subspace and singular values at
-   that rank by ``truncate``, the routine that also re-truncates every
-   bootstrap replicate (there from a smaller matrix with the replicate's
-   ``y y^T``);
+1. factor each view once (``view_spectrum``); from that, pick its marginal
+   rank and noise level by the hard-threshold rule (``select_rank``) and
+   take its signal subspace and values at that rank (``truncate``, which
+   also re-truncates every bootstrap replicate);
 2. bootstrap the perturbation bound epsilon_1 of the top spectral cluster;
 3. bound random-alignment singular values analytically by sqrt(lambda_plus)
    with rank-to-dimension ratios q_k = rank_k / n;
@@ -37,7 +36,7 @@ from .bootstrap import BootstrapConfig, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
 from .linalg import as_matrix, principal_spectrum, reduced_coords
 from .noise import NoiseSpectrumLaw, noise_law, singular_value_threshold
-from .ranksel import select_rank, truncate
+from .ranksel import select_rank, truncate, view_spectrum
 
 # Upper cap on the bootstrap threshold 1 - epsilon1_hat. In exactly noiseless
 # data epsilon1_hat underflows to ~1e-16 and the joint singular values equal 1
@@ -180,10 +179,12 @@ def decompose_multiview(views, ranks=None,
             "permutation averaging over K! orderings is refused for K >= 6")
     bootstrap = bootstrap or BootstrapConfig()
 
-    selections = [select_rank(y) for y in views]
+    spectra = [view_spectrum(y) for y in views]
+    selections = [select_rank(spec) for spec in spectra]
     marginal_ranks = _resolve_ranks(selections, views, ranks)
     sigma_hats = tuple(sel.sigma_hat for sel in selections)
-    truncs = [truncate(y, r) for y, r in zip(views, marginal_ranks)]
+    truncs = [truncate(spec, r) for spec, r in zip(spectra, marginal_ranks)]
+    del spectra   # a tall view's directions are n x p
 
     best = None  # (joint rank, pair index, spectrum, epsilon estimate)
     for i, j in combinations(range(k_views), 2):

@@ -6,6 +6,9 @@ with ``omega(beta) = 0.56 beta^3 - 0.95 beta^2 + 1.82 beta + 1.43`` and
 singular value of a unit-variance pure-noise matrix of the same shape
 (obtained from the Marchenko-Pastur law), yields the noise-level estimate
 ``sigma_hat`` consumed by the bootstrap.
+
+Each view is factored once, by one ``eigh`` of its smaller Gram matrix
+(``view_spectrum``), which ``select_rank`` and ``truncate`` both read.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ from .noise import edge_quadrature
 
 MP_NODES = 400
 
-# The certified top-r eigensolver of ``truncate`` (see ``_filtered_top``),
-# set on the bootstrap replicates of the seed-1 benchmark workloads, one BLAS
-# thread. Filter degree of each pass: from the signal's directions, a pass at
-# degree 8 stops at a round-off floor, 4e-13 to 4e-10 against FILTER_TOL (at
-# degree 12 it certified 29 of 1200 tall replicates); a degree-2 pass then
-# certified all 800 wide and 1200 tall replicates and 1943 of 2000 Table-1
-# ones (44 in the first pass, 13 in a third): 13 Gram products, where two
-# degree-8 passes from coordinate vectors took 19. Degrees 6 then 2 certified
+# The certified top-r eigensolver of ``truncate`` (see ``_filtered_top``), set
+# on the seed-1 benchmark replicates, one BLAS thread. Filter degree per pass:
+# from the signal's directions a degree-8 pass stops at a round-off floor,
+# 4e-13 to 4e-10 (degree 12 certified 29 of 1200 tall replicates); a degree-2
+# pass then certified all 800 wide and 1200 tall ones and 1943 of 2000 Table-1
+# ones (44 in the first pass, 13 in a third), in 13 Gram products against 19
+# for two degree-8 passes from coordinate vectors. Degrees 6 then 2 certified
 # none in the second pass; 6 then 3 left 15 % to a third.
 FILTER_DEGREES = (8, 2, 8)
 # Certified bound on the sine of the largest angle between the returned and
@@ -38,7 +40,8 @@ FILTER_DEGREES = (8, 2, 8)
 # moved the bootstrap's epsilon_1 by at most 1.4e-15 relative.
 FILTER_TOL = 1e-12
 # The filter's gain at the top of the spectrum is kept below 10^this, so no
-# damped component of a filtered block leaves the floating-point range.
+# damped component of a filtered block leaves the floating-point range (at
+# full degree, a noise-free stack bounded at 1e-150 s_1 underflows).
 FILTER_GAIN_DIGITS = 150
 
 
@@ -58,10 +61,6 @@ def gd_coefficient(beta: float) -> float:
     return 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
 
 
-def _mp_support(beta: float):
-    return (1.0 - np.sqrt(beta)) ** 2, (1.0 + np.sqrt(beta)) ** 2
-
-
 @functools.lru_cache(maxsize=64)
 def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     """Median of the Marchenko-Pastur eigenvalue distribution, beta in (0, 1].
@@ -73,7 +72,7 @@ def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidInput(f"beta must lie in (0, 1], got {beta}")
-    a, b = _mp_support(beta)
+    a, b = (1.0 - np.sqrt(beta)) ** 2, (1.0 + np.sqrt(beta)) ** 2
     lo, hi = a, b
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
@@ -96,16 +95,54 @@ def mp_median_sv(n: int, p: int) -> float:
     return float(np.sqrt(max(n, p) * marchenko_pastur_median(beta)))
 
 
-def select_rank(y) -> RankSelection:
-    """Apply the hard-threshold rank rule to a data matrix.
+class ViewSpectrum(NamedTuple):
+    """All m = min(n, p) singular values of an n x p matrix, descending, with unit left directions.
 
-    The rule is orientation-invariant: the aspect ratio is always taken with
-    the smaller dimension on top, and the spectrum does not depend on
-    transposition.
+    ``left`` (n, m) is orthonormal if n <= p. If n > p, a column whose value is
+    round-off of the leading one may be far from orthogonal, and is 0 if 0.
+    """
+
+    left: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+
+def view_spectrum(y, overwrite=False) -> ViewSpectrum:
+    """The singular values and left singular directions of ``y``, from one ``eigh``.
+
+    The Gram matrix, ``z z^T`` if n <= p and ``z^T z`` else, is formed from
+    ``z = y / max|y|``, which cannot overflow when squared (``overwrite``
+    scales ``y`` itself). The directions are the eigenvectors of ``z z^T``,
+    or ``z V / values`` for those V of ``z^T z``; the values are the norms of
+    ``left^T z`` or ``z V``, as square roots of Gram eigenvalues would leave
+    those of a rank-deficient ``y`` near 1e-8 s_1, above the rank floor.
     """
     y = as_matrix(y)
     n, p = y.shape
-    s = np.linalg.svd(y, compute_uv=False)
+    scale = max(y.max(), -y.min()) or 1.0
+    z = np.divide(y, scale, out=y if overwrite else None)
+    if n <= p:
+        left = np.linalg.eigh(z @ z.T)[1][:, ::-1]
+        # Over n-column slices of z, so that no second n x p array is formed.
+        values = np.sqrt(sum(np.sum(np.square(mt(left) @ z[:, j:j + n]), axis=1)
+                             for j in range(0, p, n)))
+    else:
+        left = z @ np.linalg.eigh(z.T @ z)[1][:, ::-1]
+        values = np.linalg.norm(left, axis=0)
+        left /= np.where(values > 0.0, values, 1.0)
+    order = np.argsort(-values, kind="stable")
+    return ViewSpectrum(left[:, order], scale * values[order], (n, p))
+
+
+def select_rank(y) -> RankSelection:
+    """Apply the hard-threshold rank rule to a data matrix or its ``view_spectrum``.
+
+    The rule is orientation-invariant: the aspect ratio puts the smaller
+    dimension on top, and the spectrum does not depend on transposition.
+    """
+    spec = y if isinstance(y, ViewSpectrum) else view_spectrum(y)
+    n, p = spec.shape
+    s = spec.values
     beta = min(n, p) / max(n, p)
     mp_sv = mp_median_sv(n, p)
     y_med = float(np.median(s))
@@ -127,12 +164,11 @@ class Truncation(NamedTuple):
 class SignalPlusNoise(NamedTuple):
     """A stack of n x p matrices y_b = us_b W_b^T + frame diag(noise) [I_m 0], given by factors.
 
-    With m = min(n, p), ``frame`` (n, m) has orthonormal columns and
-    ``noise`` (m,) holds the noise's singular values, both shared by the
-    stack. ``us`` is (k, n, r), and ``w`` (k, m, r) holds the first m rows of
-    each item's orthonormal (p, r) W_b. The other rows of W_b are not needed:
-    they enter y_b y_b^T only through W_b^T W_b = I. The bootstrap writes its
-    replicates this way, in the coordinates of the thin SVD of their noise.
+    With m = min(n, p), ``frame`` (n, m) and ``noise`` (m,) are the
+    ``view_spectrum`` of a noise matrix, shared by the stack, in its own right
+    frame. ``us`` is (k, n, r), and ``w`` (k, m, r) holds the first m rows of
+    each item's orthonormal (p, r) W_b; the others enter y_b y_b^T only
+    through W_b^T W_b = I.
     """
 
     frame: np.ndarray
@@ -211,8 +247,7 @@ def _filtered_top(g: _Gram, rank: int, b):
     ``g`` holds k matrices m x m and ``b`` k floats; ``b[i]`` must bound the
     (rank+1)-th eigenvalue of item i from above. Returns ``(x, ok)``: ``x``
     (k, m, rank) holds the eigenvectors, descending, of the items with
-    ``ok[i]`` True, and is unset elsewhere. Only products with ``g`` are
-    taken, never the matrix itself.
+    ``ok[i]`` True, and is unset elsewhere; ``g`` is only applied, not formed.
 
     The block starts from g times the first ``rank`` columns of ``g.l``,
     the signal's own directions (see ``_factored_gram``). Each pass applies
@@ -259,16 +294,13 @@ def _filtered_top(g: _Gram, rank: int, b):
 def truncate(y, rank: int, tail_bound=None) -> Truncation:
     """Leading rank-``rank`` left singular vectors and values of ``y``, from its smaller Gram matrix.
 
-    With ``z = y / max|y|``, which cannot overflow when squared, ``basis`` holds
-    the leading eigenvectors of ``z z^T`` if n <= p, else a sign-fixed QR of
-    ``z V_r`` with ``V_r`` those of ``z^T z``; accuracy degrades with
-    s_1 / (s_r + s_{r+1}) (Halko, Martinsson and Tropp, 2011). ``values`` are the
-    row norms of ``basis^T y``: square roots of the Gram eigenvalues would
-    leave the surplus values of a rank-deficient ``y`` near 1e-8 s_1, above the
-    1e-12 s_1 floor of the rank rule. The best rank-``rank`` approximation of
-    ``y`` in Frobenius norm (Eckart-Young) is ``basis @ (basis.T @ y)``; it is
-    not formed here. In exact arithmetic the result depends on ``y`` only
-    through ``y y^T`` (up to column signs).
+    ``y`` may be a matrix or its :func:`view_spectrum`, which is computed
+    once and shared with :func:`select_rank`. ``basis`` holds the leading
+    ``rank`` left singular directions, through a sign-fixed QR if n > p;
+    ``values`` are the leading singular values. The best rank-``rank``
+    approximation of ``y`` in Frobenius norm (Eckart-Young) is
+    ``basis @ (basis.T @ y)``; it is not formed here. In exact arithmetic the
+    result depends on ``y`` only through ``y y^T`` (up to column signs).
 
     ``y`` may also be a :class:`SignalPlusNoise` stack of k items, the only
     input that takes a ``tail_bound`` (see ``_truncate_factored``). Then
@@ -278,20 +310,16 @@ def truncate(y, rank: int, tail_bound=None) -> Truncation:
         return _truncate_factored(y, rank, tail_bound)
     if tail_bound is not None:
         raise InvalidInput("tail_bound is taken only with a SignalPlusNoise stack")
-    y = as_matrix(y)
-    n, p = y.shape
+    spec = y if isinstance(y, ViewSpectrum) else view_spectrum(y)
+    n, p = spec.shape
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
-    if rank == 0:
-        return Truncation(np.zeros((n, 0)), np.zeros(0))
-    scale = np.max(np.abs(y)) or 1.0
-    z = y / scale
-    basis = _top_eigh(z @ z.T if n <= p else z.T @ z, rank)
+    basis = spec.left[:, :rank]
     if n > p:
-        basis = _sign_fixed_qr(z @ basis)
-    values = np.linalg.norm(basis.T @ z, axis=1)
-    order = np.argsort(-values, kind="stable")
-    return Truncation(basis[:, order], scale * values[order])
+        # Leading directions first: the QR must orthogonalize round-off
+        # columns against the signal ones, not the other way round.
+        basis = _sign_fixed_qr(basis)
+    return Truncation(basis, spec.values[:rank])
 
 
 def _factored_gram(y: SignalPlusNoise):
@@ -336,15 +364,12 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
 
     ``tail_bound``, if given, must bound s_{rank+1} of every item from above.
     With ``rank`` at most 2r, the columns of L, the leading eigenvectors then
-    come from ``_filtered_top``, a Chebyshev-filtered block iteration from
-    L's first ``rank`` columns that damps the Gram spectrum below
-    ``(tail_bound / c)^2`` and applies the Gram matrix in O(m r^2), and are
-    kept only under a certificate: Kahan's residual bound places ``rank``
-    eigenvalues above the damped range, and the Davis-Kahan bound puts them
-    within sin-angle FILTER_TOL of the leading eigenspace. All other items
-    take ``eigh`` of the formed m x m Gram matrix, so a bound that is 0, at
-    least s_rank or never certified gives the bound-free result bit for bit.
-    Each item's result is bit for bit that of truncating it alone.
+    come from ``_filtered_top``, which damps the Gram spectrum below
+    ``(tail_bound / c)^2``, applies the Gram matrix in O(m r^2) and keeps
+    only certified items. All other items take ``eigh`` of the formed m x m
+    Gram matrix, so a bound that is 0, at least s_rank or never certified
+    gives the bound-free result bit for bit. Each item's result is bit for
+    bit that of truncating it alone.
     """
     n, m = y.frame.shape
     k = len(y.us)
@@ -358,7 +383,8 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
         t = float(tail_bound) / scale
         x, ok = _filtered_top(g, rank, t * t)
     if not ok.all():
-        x[~ok] = _top_eigh(g.take(~ok).dense(), rank)
+        # Leading eigenvectors first, as for a view: see ``truncate``.
+        x[~ok] = np.linalg.eigh(g.take(~ok).dense())[1][..., :-rank - 1:-1]
     values = np.sqrt(np.maximum(np.sum(x * g.apply(x), axis=-2), 0.0))
     if m == n:
         basis = y.frame @ x
@@ -367,15 +393,6 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
     order = np.argsort(-values, axis=-1, kind="stable")
     return Truncation(np.take_along_axis(basis, order[:, None, :], axis=-1),
                       scale[:, None] * np.take_along_axis(values, order, axis=-1))
-
-
-def _top_eigh(g, rank: int) -> np.ndarray:
-    """The leading ``rank`` eigenvectors of each symmetric ``g`` by ``eigh``, descending.
-
-    Leading eigenvectors come first: a QR of their image must orthogonalize
-    round-off columns against the signal ones, not the other way round.
-    """
-    return np.linalg.eigh(g)[1][..., :-rank - 1:-1]
 
 
 def _sign_fixed_qr(a) -> np.ndarray:

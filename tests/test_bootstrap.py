@@ -11,10 +11,9 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
 import ppdecomp.bootstrap
 import ppdecomp.ranksel
 from ppdecomp.bootstrap import (_block_size, _canonical_order, _haar_pair_rng,
-                                _noise_replicate_rng, _replicates, _row_basis_rng, _row_frame,
-                                _tail_bound)
+                                _noise_replicate_rng, _replicates, _row_basis_rng, _tail_bound)
 from ppdecomp.linalg import mt
-from ppdecomp.ranksel import _factored_gram
+from ppdecomp.ranksel import SignalPlusNoise, _factored_gram, view_spectrum
 from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -141,19 +140,37 @@ def _k_row_basis(p, n, r, rng):
     return (v_m[0], k[0]) if single else (v_m, k)
 
 
-def _frame_replicate(us, v_m, k, rt):
-    """Reference dense stand-in z = [us v_m^T + rt, us k], with z z^T = y y^T
-    for the replicate y = us (O v)^T + e, rt the coordinates of e in its row
-    frame (``k`` is None when p <= n)."""
-    z = us @ mt(v_m) + rt
+def _frame_replicate(us, v_m, k, coords):
+    """Reference dense stand-in z = [us v_m^T + coords, us k], with z z^T = y y^T
+    for the replicate y = us (O v)^T + e, ``coords`` (n, m) the first m
+    columns of e O, the rest being 0 (``k`` is None when p <= n)."""
+    z = us @ mt(v_m) + coords
     if k is None:
         return z
     return np.concatenate([z, us @ k], axis=-1)
 
 
-def _rt(e):
-    """Reference row-frame coordinates rt of e = rt q^T, from the QR of e^T."""
-    return np.linalg.qr(e.T, mode="r").T
+def _right_frame(e, frame):
+    """Reference orthogonal O = [F F_perp] (p x p) for the noise frame (P, sigma)
+    of e: F = e^T P / sigma (a column is 0 where sigma is 0), completed by a
+    sign-fixed QR, so that e O = [P diag(sigma), 0]."""
+    f = e.T @ frame[0] / np.where(frame[1] > 0.0, frame[1], 1.0)
+    o, rr = np.linalg.qr(f, mode="complete")
+    o[:, :f.shape[1]] *= np.copysign(1.0, np.diagonal(rr))
+    return o
+
+
+def _qr_frame(e):
+    """Reference noise frame of the QR route: the thin SVD (P, sigma, H^T) of
+    rt, the (n, min(n, p)) coordinates of e in an orthonormal frame q of its
+    row space from the QR of e^T, e = rt q^T."""
+    return np.linalg.svd(np.linalg.qr(e.T, mode="r").T, full_matrices=False)
+
+
+def _qr_frame_replicates(us, v_m, frame):
+    """Reference replicates of the QR route: in the right frame [q H, q_perp],
+    w = H^T v_m."""
+    return SignalPlusNoise(frame[0], frame[1], us, frame[2] @ v_m)
 
 
 @pytest.mark.parametrize("p,n,r", [(12, 20, 5), (20, 20, 5), (23, 20, 5), (24, 20, 5),
@@ -221,13 +238,14 @@ def test_row_basis_draw_never_forms_a_wide_frame(monkeypatch):
                               "wide-by-r", "very-wide"])
 def test_frame_replicate_has_the_replicate_gram(n, p, noise):
     # p >= n + r, n < p < n + r, p = n + r, p >> n, p = n, p < n, and
-    # noise-free data, at scales 1 and 1e+-150. The reference stand-in z
-    # reproduces y y^T of the replicate y = us (O v)^T + e, with O = [q q_perp]
-    # the completed row frame of e. The factored Gram matrix of the same
-    # replicate, over its scale c, must be P^T z z^T P / c^2 for p >= n and
-    # H^T z^T z H / c^2 for p < n, with rt = P diag(sigma) H^T; its products
-    # and diagonal must be those of the formed matrix; and truncating it must
-    # give the truncation of y itself.
+    # noise-free data, at scales 1 and 1e+-150. The noise frame (P, sigma) is
+    # the view_spectrum of e = P diag(sigma) F^T. The reference stand-in z
+    # reproduces y y^T of the replicate y = us (O v)^T + e, with O = [F F_perp]
+    # the completed right singular frame of e. The factored Gram matrix of
+    # the same replicate, over its scale c, must be P^T z z^T P / c^2 for
+    # p >= n and z^T z / c^2 for p < n; its products and diagonal must be
+    # those of the formed matrix; and truncating it must give the truncation
+    # of y itself.
     r = 5
     rng = np.random.default_rng(n + p)
     e0 = noise * rng.standard_normal((n, p))
@@ -236,30 +254,28 @@ def test_frame_replicate_has_the_replicate_gram(n, p, noise):
     x = rng.standard_normal((1, min(n, p), 3))
     for scale in (1.0, 1e150, 1e-150):
         e, us = scale * e0, scale * us0
-        o = np.linalg.qr(e.T, mode="complete")[0]
-        y = us @ (o @ v).T + e
-        rt = _rt(e)
+        frame = view_spectrum(e)
+        y = us @ (_right_frame(e, frame) @ v).T + e
         v_m, k = _qr_row_basis(v, n)
-        z = _frame_replicate(us, v_m, k, rt)
+        z = _frame_replicate(us, v_m, k, frame[0] * frame[1])
         assert z.shape == (n, n + min(p - n, r) if p > n else p)
-        frame = _row_frame(e)
         g, _, _, c = _factored_gram(_replicates(us[None], v_m[None], frame))
         zc = z / c[0]
         if p >= n:
             ref = frame[0].T @ (zc @ zc.T) @ frame[0]
         else:
-            ref = frame[2] @ (zc.T @ zc) @ frame[2].T
+            ref = zc.T @ zc
         dense = g.dense()
         assert np.linalg.norm(dense[0] - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
         assert np.allclose(g.apply(x), dense @ x, rtol=0.0, atol=1e-12 * np.abs(dense).max())
         assert np.allclose(g.diagonal(), dense.diagonal(0, -2, -1), rtol=1e-12, atol=0.0)
         if scale == 1.0:
             assert np.linalg.norm(z @ z.T - y @ y.T, 2) <= 1e-12 * np.linalg.norm(y, 2) ** 2
-            # Weyl: the signal has rank r, so s_{r+1} <= |e|_2 = |rt|_2 = sigma_1.
+            # Weyl: the signal has rank r, so s_{r+1} <= |e|_2 = sigma_1.
             # Without noise, s_{r+1} of the computed z is round-off of s_1.
             s = np.linalg.svd(z, compute_uv=False)
             assert s[r] <= frame[1][0] * (1.0 + 1e-12) + 1e-14 * s[0]
-            assert frame[1][0] == pytest.approx(np.linalg.norm(rt, 2), rel=1e-12, abs=0.0)
+            assert frame[1][0] == pytest.approx(np.linalg.norm(e, 2), rel=1e-12, abs=0.0)
         basis = truncate(_replicates(us[None], v_m[None], frame), r).basis[0]
         assert np.max(np.abs(projector(basis) - projector(truncate(y, r).basis))) <= 1e-10
 
@@ -364,11 +380,11 @@ def test_epsilon1_same_law_as_svd_haar_pair(monkeypatch):
 
 @pytest.mark.parametrize("n,dims", [(50, (80, 100)), (100, (40, 60))], ids=["wide", "tall"])
 def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
-    # Reading v in the noise's own coordinates replicates y = us (O v)^T + e
-    # instead of us v^T + e; O v is Haar too, so epsilon_1 may differ only
-    # within its Monte-Carlo error. The reference draws the full v and takes
-    # the thin SVD P diag(sigma) F^T of e itself, so that w = F^T v holds the
-    # first rows of v read in e's right singular frame.
+    # Reading v in the noise's own right singular frame (w = v_m, from one
+    # eigh) replicates y = us (O v)^T + e with another fixed O than the QR
+    # route, which reads it in the frame [q H, q_perp] of the QR of e^T and
+    # the SVD of e's coordinates there (w = H^T v_m); O v is Haar either way,
+    # so epsilon_1 may differ only within its Monte-Carlo error.
     def estimates(seed):
         cfg = SimConfig(snr=2.0, seed=seed, **{**FIVE_CFG, "n": n, "dims": dims,
                                                "angle_deg": 30.0})
@@ -377,10 +393,8 @@ def test_epsilon1_same_law_as_q_frame_replicate(monkeypatch, n, dims):
                                  BootstrapConfig(replicates=100, seed=seed + 300))
 
     new = [estimates(seed) for seed in range(20)]
-    monkeypatch.setattr(ppdecomp.bootstrap, "_row_frame",
-                        lambda e: np.linalg.svd(e, full_matrices=False))
-    monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng",
-                        lambda p, n, r, rng: haar_basis(p, r, rng))
+    monkeypatch.setattr(ppdecomp.bootstrap, "view_spectrum", lambda e, overwrite: _qr_frame(e))
+    monkeypatch.setattr(ppdecomp.bootstrap, "_replicates", _qr_frame_replicates)
     old = [estimates(seed) for seed in range(20)]
     z = [(a.epsilon1_hat - b.epsilon1_hat)
          / np.sqrt((a.per_replicate.var(ddof=1) + b.per_replicate.var(ddof=1)) / 100)
@@ -452,11 +466,10 @@ def _truncate_each(z, rank, tail_bound):
                          ids=["table1", "wide", "tall"])
 def test_epsilon1_matches_the_dense_stand_in_route(monkeypatch, shape, ranks):
     # A replicate's factored Gram matrix is that of its dense stand-in
-    # z = [us v_m^T + rt, us k], rotated into the noise's singular frame, so
-    # every per-replicate value must agree to round-off with the route that
-    # forms z and truncates it with eigh. Skipping the rotation (w = v_m)
-    # keeps the law but not the values; dropping the signal-noise cross term
-    # changes both.
+    # z = [us v_m^T + P diag(sigma), us k], read in the noise's singular
+    # frame, so every per-replicate value must agree to round-off with the
+    # route that forms z and truncates it with eigh. Dropping the
+    # signal-noise cross term would change the values and the law.
     views, _ = generate(SimConfig(snr=2.0, seed=3, **shape))
     ranks = ranks or [select_rank(y).rank for y in views]
     truncs = [truncate(y, r) for y, r in zip(views, ranks)]
@@ -469,7 +482,7 @@ def test_epsilon1_matches_the_dense_stand_in_route(monkeypatch, shape, ranks):
     factored = per_replicate()
     monkeypatch.setattr(ppdecomp.bootstrap, "_row_basis_rng", _k_row_basis)
     monkeypatch.setattr(ppdecomp.bootstrap, "_replicates", lambda us, v, frame: _frame_replicate(
-        us, *v, (frame[0] * frame[1]) @ frame[2]))
+        us, *v, frame[0] * frame[1]))
     monkeypatch.setattr(ppdecomp.bootstrap, "truncate", _truncate_each)
     dense = per_replicate()
     assert np.max(np.abs(factored - dense)) <= 1e-12

@@ -569,6 +569,48 @@ def test_multiview_noiseless_three_views():
         assert subspace_distance(res.individuals[k], truth.individuals[k]) <= 1e-8
 
 
+@pytest.mark.parametrize("n,dims", [(40, (60, 90)), (90, (30, 50))], ids=["wide", "tall"])
+def test_set_up_factors_each_view_once(monkeypatch, n, dims):
+    # Outside the replicate loop, each view is factored by one eigh of its
+    # smaller Gram matrix, which serves both the rank rule and the
+    # truncation, and each view's noise in a pair the same way: no SVD or QR
+    # of an n x p operand, one eigh per view and one per view of each pair.
+    import ppdecomp.bootstrap
+    import ppdecomp.decomposition
+
+    cfg = ppd.SimConfig(n=n, dims=dims, joint_rank=3, individual_ranks=(3, 3),
+                        angle_deg=60.0, snr=2.0, seed=2)
+    views = ppd.generate(cfg)[0]
+    calls, in_loop = [], [False]
+    for name in ("svd", "qr", "eigh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if not in_loop[0]:
+                calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    haar_pair = ppdecomp.bootstrap._haar_pair_rng
+    estimate = ppdecomp.decomposition.estimate_epsilon1
+
+    def first_block(*args):
+        in_loop[0] = True
+        return haar_pair(*args)
+
+    def pair(*args):
+        out = estimate(*args)
+        in_loop[0] = False
+        return out
+
+    monkeypatch.setattr(ppdecomp.bootstrap, "_haar_pair_rng", first_block)
+    monkeypatch.setattr(ppdecomp.decomposition, "estimate_epsilon1", pair)
+    decompose(*views, bootstrap=BootstrapConfig(replicates=4, seed=1))
+    assert calls and in_loop == [False]
+    shapes = {(n, p) for p in dims} | {(p, n) for p in dims}
+    assert not [c for c in calls if c[0] != "eigh" and c[1] in shapes]
+    grams = sorted(shape for name, shape in calls
+                   if name == "eigh" and shape in {(min(n, p),) * 2 for p in dims})
+    assert grams == sorted(2 * [(min(n, p),) * 2 for p in dims])
+
+
 def test_multiview_permutation_guard_for_many_views():
     views = [np.ones((6, 4)) for _ in range(6)]
     with pytest.raises(InvalidInput):

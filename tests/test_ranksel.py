@@ -285,6 +285,22 @@ def test_truncate_round_off_tail_bound_raises_no_float_error(shape, monkeypatch)
     assert outcomes == [True, False]
 
 
+@SHAPES
+def test_truncate_gain_cap_keeps_a_tiny_tail_bound_in_range(shape, monkeypatch):
+    # On a noise-free stack a bound of 1e-150 s_1 is valid, but a filter at
+    # full degree that damps [0, b] underflows in its Chebyshev recurrence.
+    # The gain cap lowers the degree to 0 there, so the item goes straight to
+    # eigh and comes out as without a bound, bit for bit.
+    outcomes = count_filtered(monkeypatch)
+    stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.0, seed=sum(shape))
+    free = truncate(stack, 6)
+    with np.errstate(all="raise"):
+        bounded = truncate(stack, 6, 1e-150 * np.linalg.norm(y[0], 2))
+    assert np.array_equal(bounded.basis, free.basis)
+    assert np.array_equal(bounded.values, free.values)
+    assert outcomes == [False]
+
+
 def test_truncate_tail_bound_needs_a_factored_stack():
     with pytest.raises(InvalidInput):
         truncate(np.eye(4), 2, 0.5)
