@@ -74,15 +74,14 @@ from .ranksel import SignalPlusNoise, Truncation, truncate, view_spectrum
 
 VARIANTS = ("rotational", "naive")
 
-# Replicates per block (see ``_block_size``). BLOCK_BYTES bounds the counted
-# footprint, not the memory: the filter's stacked temporaries are left out.
-# 2 MiB holds twelve bounded 167 x (1572, 375) replicates at ranks 16,16
-# (0.17 MB counted each). At 3, 6, 12 and 24 per block, one BLAS thread, they
-# took 3.7, 3.6, 3.1 and 3.3 ms each, and ``estimate_epsilon1`` (B = 96)
-# peaked at 2.8, 3.5, 6.4 and 12.0 MB under tracemalloc, about 0.46 MB per
-# replicate; 300 x (90, 150) took 2.6, 2.1, 1.8 and 1.7 ms, 50 x (80, 100)
-# 1.4, 0.9, 0.8 and 0.7 ms.
-BLOCK_BYTES = 2 << 20
+# Replicates per block (see ``_block_size``). BLOCK_BYTES is what twelve
+# bounded 167 x (1572, 375) replicates at ranks 16,16 took: with one BLAS
+# thread and B = 96, ``estimate_epsilon1`` peaked under tracemalloc at 2.77,
+# 2.99, 5.44 and 10.36 MB at 3, 6, 12 and 24 per block, 0.41 MB more per
+# replicate from 12 to 24, and 0.43 MB counted. Per replicate they took
+# 2.8, 2.6, 2.4 and 2.8 ms; 300 x (90, 150) at ranks 10, 8 took 2.1, 1.5,
+# 1.4 and 1.3 ms, 50 x (80, 100) at 9, 8 1.2, 0.7, 0.7 and 0.6 ms.
+BLOCK_BYTES = 5_440_000
 BLOCK_REPLICATES = 12
 
 
@@ -219,17 +218,20 @@ def _replicates(us, v_m, frame) -> SignalPlusNoise:
 def _block_size(n, r1, r2, p1, p2, bound1=None, bound2=None) -> int:
     """Replicates per block: BLOCK_BYTES over a replicate's footprint, within [1, BLOCK_REPLICATES].
 
-    The footprint is the bytes, for each view with m = min(n, p), of the
-    replicate's signal ``us`` (n x r), its row coordinates ``w`` (m x r),
-    the 2r columns of its Gram factor (m x 2r) and, for a view without a
-    tail bound, the m x m Gram matrix formed for ``eigh``. It leaves out the
-    filter's stacked temporaries (``_chebyshev``'s iterates, the products of
-    ``_Gram.apply``, each pass's QR and ``eigh``), about twice as much again.
+    The footprint counts, for each view with m = min(n, p), the arrays a
+    replicate holds at the peak of the block: three n x r (its Haar columns,
+    its signal ``us`` and its basis), seven m x r (its row coordinates ``w``,
+    the two of its Gram factor, and the filter's three Chebyshev iterates
+    and its Ritz block) and, for a view without a tail bound, the m x m Gram
+    matrix formed for ``eigh``. Against the growth of the tracemalloc peak
+    per replicate from 12 to 24 per block, it is within 5 % on bounded tall
+    and wide pairs, and from 5 % below to 37 % above where ``eigh`` runs:
+    only one view's Gram matrix and its eigenvectors are live at a time.
     """
     footprint = 0
     for p, r, bound in ((p1, r1, bound1), (p2, r2, bound2)):
         m = min(n, p)
-        footprint += 8 * (n * r + 3 * m * r + (m * m if bound is None else 0))
+        footprint += 8 * (3 * n * r + 7 * m * r + (m * m if bound is None else 0))
     return max(1, min(BLOCK_REPLICATES, BLOCK_BYTES // footprint))
 
 
@@ -351,6 +353,8 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
         u2b_hat = truncate(_replicates(u2b * s2, v2b, frame2), r2, bound2).basis
         eps1 = epsilon_pair(u1b[..., :k1], u2b[..., :k2], u1b_hat, u2b_hat)[0]
         vals[start:start + len(rngs)] = np.minimum(eps1, 1.0)
+        # Free the block before the next one is drawn, or two blocks are live.
+        del u1b, u2b, v1b, v2b, u1b_hat, u2b_hat
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,
                            variant=cfg.variant)

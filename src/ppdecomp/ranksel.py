@@ -195,6 +195,12 @@ class _Gram(NamedTuple):
     def apply(self, x) -> np.ndarray:
         return self.d[..., None] * x + self.l @ (self.mid @ (mt(self.l) @ x))
 
+    def shifted(self, x, alpha, shift) -> np.ndarray:
+        """alpha (g - shift I) x, with ``alpha`` and ``shift`` (k, 1, 1): the scalars go to the small factors."""
+        out = self.l @ ((alpha * self.mid) @ (mt(self.l) @ x))
+        out += (alpha[..., 0] * (self.d - shift[..., 0]))[..., None] * x
+        return out
+
     def diagonal(self) -> np.ndarray:
         return self.d + np.sum((self.l @ self.mid) * self.l, axis=-1)
 
@@ -205,16 +211,18 @@ class _Gram(NamedTuple):
         return g
 
 
-def _chebyshev(apply, x, degree: int, b, top) -> np.ndarray:
-    """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1.
+def _chebyshev(g: _Gram, x, degree: int, b, top) -> np.ndarray:
+    """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1; ``x`` is overwritten.
 
     T_degree is the Chebyshev polynomial, so |p| <= 1 / T_degree(l(top)) on
     [0, b] and p grows fast above b, up to p(top) = 1. The three-term
     recurrence carries the scaling of Zhou and Saad (2007, J. Comput. Phys.
-    219), which keeps every iterate within the magnitude of ``x``. ``apply``
-    multiplies a stack of blocks (k, m, b) by the k matrices g; ``b`` and
-    ``top`` hold one float per item. The scalar recurrence runs per item in
-    floats, ahead of the stacked products.
+    219), which keeps every iterate within the magnitude of ``x``. ``g`` is
+    a stack of k Gram matrices and ``x`` a stack of blocks (k, m, b); ``b``
+    and ``top`` hold one float per item. The scalar recurrence runs per item
+    in floats, ahead of the stacked products. Each step
+    ``alpha (g - c I) y - beta x`` is ``g.shifted(y, alpha, c)``, with the
+    scalars on the small factors of g, less ``beta x`` in x's own memory.
     """
     table = []
     for bi, ti in zip(b.tolist(), top.tolist()):
@@ -228,9 +236,11 @@ def _chebyshev(apply, x, degree: int, b, top) -> np.ndarray:
             sigma = sigma_next
         table.append(row)
     c, first, *steps = np.array(table).T[:, :, None, None]
-    y = (apply(x) - c * x) * first
+    y = g.shifted(x, first, c)
     for alpha, beta in zip(steps[::2], steps[1::2]):
-        y, x = (apply(y) - c * y) * alpha - beta * x, y
+        x *= -beta
+        x += g.shifted(y, alpha, c)
+        x, y = y, x
     return y
 
 
@@ -245,9 +255,11 @@ def _filtered_top(g: _Gram, rank: int, b):
     """Certified leading ``rank`` eigenvectors of each PSD matrix of the stack ``g``.
 
     ``g`` holds k matrices m x m and ``b`` k floats; ``b[i]`` must bound the
-    (rank+1)-th eigenvalue of item i from above. Returns ``(x, ok)``: ``x``
-    (k, m, rank) holds the eigenvectors, descending, of the items with
-    ``ok[i]`` True, and is unset elsewhere; ``g`` is only applied, not formed.
+    (rank+1)-th eigenvalue of item i from above. Returns ``(x, ok, theta)``:
+    ``x`` (k, m, rank) holds the Ritz vectors and ``theta`` (k, rank) the
+    Ritz values, descending, of the items with ``ok[i]`` True, and both are
+    unset elsewhere; ``g`` is only applied, not formed. Each theta is within
+    |R|_F of an eigenvalue, and ``x^T g x = diag(theta)`` up to round-off.
 
     The block starts from g times the first ``rank`` columns of ``g.l``,
     the signal's own directions (see ``_factored_gram``). Each pass applies
@@ -267,28 +279,37 @@ def _filtered_top(g: _Gram, rank: int, b):
     top = diag.sum(axis=-1)   # the trace, >= the largest eigenvalue of a PSD g
     caps = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
     x_out = np.empty(diag.shape + (rank,))
+    theta_out = np.empty((len(diag), rank))
     ok = np.zeros(len(diag), dtype=bool)
     for cap in set(caps.tolist()) - {0}:
         act = np.flatnonzero(caps == cap)
         ga = g if act.size == len(diag) else g.take(act)
         x = ga.apply(ga.l[..., :rank])
         for degree in FILTER_DEGREES:
-            x = np.linalg.qr(_chebyshev(ga.apply, x, min(degree, cap), b[act], top[act]))[0]
-            gx = ga.apply(x)
-            theta, w = np.linalg.eigh(mt(x) @ gx)
-            theta, w = theta[:, ::-1], w[:, :, ::-1]
-            x = x @ w
-            resid = (gx @ w - x * theta[:, None, :]).reshape(len(act), 1, -1)
-            # |R|_F as a dot product, which is how the 2-D norm sums it.
-            res = np.sqrt(resid @ mt(resid))[:, 0, 0]
+            x = np.linalg.qr(_chebyshev(ga, x, min(degree, cap), b[act], top[act]))[0]
+            x, theta, res = _ritz(ga, x)
             low = theta[:, -1]
             good = (low - res > b[act]) & (res / (low - b[act]) < FILTER_TOL)
             x_out[act[good]] = x[good]
+            theta_out[act[good]] = theta[good]
             ok[act[good]] = True
             if good.all():
                 break
             act, ga, x = act[~good], ga.take(~good), x[~good]
-    return x_out, ok
+    return x_out, ok, theta_out
+
+
+def _ritz(g: _Gram, x):
+    """(X, theta, |R|_F): the Ritz pairs of each g on the orthonormal block x, descending, and their residual norms."""
+    gx = g.apply(x)
+    theta, w = np.linalg.eigh(mt(x) @ gx)
+    theta, w = theta[:, ::-1], w[:, :, ::-1]
+    x = x @ w
+    resid = gx @ w
+    resid -= x * theta[:, None, :]
+    resid = resid.reshape(len(x), 1, -1)
+    # |R|_F as a dot product, which is how the 2-D norm sums it.
+    return x, theta, np.sqrt(resid @ mt(resid))[:, 0, 0]
 
 
 def truncate(y, rank: int, tail_bound=None) -> Truncation:
@@ -357,10 +378,13 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
     """``truncate`` of each item of a factored stack, through its Gram matrix in factored form.
 
     The Gram matrix G of each item over its scale comes from
-    ``_factored_gram``. For its leading eigenvectors x, the basis is
-    ``frame x`` if p >= n, and the sign-fixed QR of
-    ``y x = us (w^T x) + frame (noise * x)`` if p < n. ``values`` are the
-    square roots of the Rayleigh quotients x^T G x.
+    ``_factored_gram``. For its leading eigenvectors x, with eigenvalues
+    theta, the basis is ``frame x`` if p >= n. If p < n it is
+    ``y x = us (w^T x) + frame (noise * x)`` with its columns normalized, as
+    ``(y x)^T (y x) = c^2 diag(theta)``: to round-off for a certified item,
+    whose residual bounds the columns' overlaps; an ``eigh`` item, whose
+    trailing columns may be round-off, takes the sign-fixed QR instead.
+    ``values`` are ``c sqrt(theta)``, descending as theta comes.
 
     ``tail_bound``, if given, must bound s_{rank+1} of every item from above.
     With ``rank`` at most 2r, the columns of L, the leading eigenvectors then
@@ -378,21 +402,26 @@ def _truncate_factored(y: SignalPlusNoise, rank: int, tail_bound) -> Truncation:
     if rank == 0:
         return Truncation(np.zeros((k, n, 0)), np.zeros((k, 0)))
     g, us, noise, scale = _factored_gram(y)
-    x, ok = np.empty((k, m, rank)), np.zeros(k, dtype=bool)
     if tail_bound is not None and tail_bound > 0 and rank <= g.l.shape[-1]:
         t = float(tail_bound) / scale
-        x, ok = _filtered_top(g, rank, t * t)
+        x, ok, theta = _filtered_top(g, rank, t * t)
+    else:
+        x, ok, theta = np.empty((k, m, rank)), np.zeros(k, dtype=bool), np.empty((k, rank))
     if not ok.all():
         # Leading eigenvectors first, as for a view: see ``truncate``.
-        x[~ok] = np.linalg.eigh(g.take(~ok).dense())[1][..., :-rank - 1:-1]
-    values = np.sqrt(np.maximum(np.sum(x * g.apply(x), axis=-2), 0.0))
+        lam, vec = np.linalg.eigh(g.take(~ok).dense())
+        x[~ok], theta[~ok] = vec[..., :-rank - 1:-1], lam[..., :-rank - 1:-1]
+    values = scale[:, None] * np.sqrt(np.maximum(theta, 0.0))
     if m == n:
-        basis = y.frame @ x
+        return Truncation(y.frame @ x, values)
+    basis = us @ (mt(y.w) @ x)
+    basis += y.frame @ (noise[..., None] * x)
+    if ok.all():
+        basis /= np.linalg.norm(basis, axis=-2)[..., None, :]
     else:
-        basis = _sign_fixed_qr(us @ (mt(y.w) @ x) + y.frame @ (noise[..., None] * x))
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return Truncation(np.take_along_axis(basis, order[:, None, :], axis=-1),
-                      scale[:, None] * np.take_along_axis(values, order, axis=-1))
+        basis[ok] /= np.linalg.norm(basis[ok], axis=-2)[..., None, :]
+        basis[~ok] = _sign_fixed_qr(basis[~ok])
+    return Truncation(basis, values)
 
 
 def _sign_fixed_qr(a) -> np.ndarray:

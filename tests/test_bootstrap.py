@@ -489,13 +489,13 @@ def test_epsilon1_matches_the_dense_stand_in_route(monkeypatch, shape, ranks):
 
 
 def test_block_size_from_footprint(monkeypatch):
-    # A replicate of 50 x (80, 100) at ranks 9, 8 holds, per view, us
-    # (50 x r), w (50 x r), the Gram factor (50 x 2r) and a 50 x 50 Gram
-    # matrix: 8 (4300 + 4100) = 67200 bytes.
+    # A replicate of 50 x (80, 100) at ranks 9, 8 counts, per view, three
+    # n x r arrays, seven m x r and a 50 x 50 Gram matrix:
+    # 8 (500 * 9 + 2500 + 500 * 8 + 2500) = 108000 bytes.
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 1000)
-    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 67200 + 1)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 108000 + 1)
     assert _block_size(50, 9, 8, 80, 100) == 10
-    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 67200 - 1)
+    monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * 108000 - 1)
     assert _block_size(50, 9, 8, 80, 100) == 9
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1)
     assert _block_size(50, 9, 8, 80, 100) == 1
@@ -503,19 +503,19 @@ def test_block_size_from_footprint(monkeypatch):
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 1 << 40)
     assert _block_size(50, 9, 8, 80, 100) == 4
     # A view with a tail bound reserves no m x m Gram matrix: a bounded
-    # 167 x (1572, 375) pair at ranks 16, 16 holds 8 * 2 * 4 * 167 * 16 =
-    # 171008 bytes, and twelve fit in the default 2 MiB, against three with
-    # both Gram matrices.
+    # 167 x (1572, 375) pair at ranks 16, 16 counts 8 * 2 * 10 * 167 * 16 =
+    # 427520 bytes, and twelve fit in the default BLOCK_BYTES, against six
+    # with both Gram matrices.
     monkeypatch.undo()
     assert _block_size(167, 16, 16, 1572, 375, 1.0, 2.0) == 12
-    assert _block_size(167, 16, 16, 1572, 375) == 3
+    assert _block_size(167, 16, 16, 1572, 375) == 6
     # With one bound, only the other view's Gram matrix counts: for
-    # 300 x (90, 150) at ranks 10, 10 that is 8 (300 * 10 + 3 * 90 * 10) +
-    # 8 (300 * 10 + 3 * 150 * 10 + 150^2) = 285600 bytes with the first view
-    # bounded, and 8 (300 * 10 + 3 * 90 * 10 + 90^2) + 8 (300 * 10 + 3 * 150
-    # * 10) = 170400 with the second.
+    # 300 x (90, 150) at ranks 10, 10 that is 8 (3 * 300 * 10 + 7 * 90 * 10)
+    # + 8 (3 * 300 * 10 + 7 * 150 * 10 + 150^2) = 458400 bytes with the first
+    # view bounded, and 8 (3 * 300 * 10 + 7 * 90 * 10 + 90^2) + 8 (3 * 300 *
+    # 10 + 7 * 150 * 10) = 343200 with the second.
     monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_REPLICATES", 1000)
-    for bounds, footprint in (((1.0, None), 285600), ((None, 1.0), 170400)):
+    for bounds, footprint in (((1.0, None), 458400), ((None, 1.0), 343200)):
         monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * footprint)
         assert _block_size(300, 10, 10, 90, 150, *bounds) == 10
         monkeypatch.setattr(ppdecomp.bootstrap, "BLOCK_BYTES", 10 * footprint - 1)
@@ -534,10 +534,13 @@ def _filter_products(monkeypatch, views, ranks):
 
     monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", recorded)
     decompose(*views, ranks=ranks, bootstrap=BootstrapConfig(replicates=12, seed=5))
+    # A product is a plain one or a shifted and scaled one of the recurrence.
     products = []
-    apply = ppdecomp.ranksel._Gram.apply
+    apply, shifted = ppdecomp.ranksel._Gram.apply, ppdecomp.ranksel._Gram.shifted
     monkeypatch.setattr(ppdecomp.ranksel._Gram, "apply",
                         lambda g, x: products.append(1) or apply(g, x))
+    monkeypatch.setattr(ppdecomp.ranksel._Gram, "shifted",
+                        lambda g, *args: products.append(1) or shifted(g, *args))
     out = []
     for g, rank, b in calls:
         for i in range(len(b)):
@@ -563,6 +566,52 @@ def test_filter_certifies_in_thirteen_products(monkeypatch, shape, ranks):
     items = _filter_products(monkeypatch, generate(SimConfig(**shape))[0], ranks)
     assert len(items) == 24
     assert all(ok and products <= 13 for products, ok in items)
+
+
+def test_certified_replicate_loop_factors_only_filter_blocks_and_residuals(monkeypatch):
+    # In a certified pair's replicate loop, the Haar pair and the tall row
+    # frames come from CholeskyQR, a certified basis is y x over its column
+    # norms, and epsilon_pair factors only the n x k residual of each true
+    # basis against its estimate. So the only QRs left are the filter's
+    # passes, of (m, r) blocks, and the residuals: none of an n x (r1 + r2)
+    # operand or of an n x r basis.
+    n, dims, ranks, reps = 300, (90, 150), (10, 8), 30
+    views, _, truncs, sigmas = prepared_views(SimConfig(
+        n=n, dims=dims, joint_rank=4, individual_ranks=(6, 4), angle_deg=60.0, snr=2.0,
+        seed=1), ranks)
+    calls, where = [], [None]
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append((where[0], np.shape(a)[-2:], kwargs.get("mode", "reduced")))
+        return qr(a, *args, **kwargs)
+
+    def inside(name, fn):
+        def run(*args):
+            where[0] = name
+            try:
+                return fn(*args)
+            finally:
+                where[0] = None
+        return run
+
+    outcomes = count_filtered(monkeypatch)
+    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top",
+                        inside("filter", ppdecomp.ranksel._filtered_top))
+    monkeypatch.setattr(ppdecomp.bootstrap, "epsilon_pair",
+                        inside("epsilon", ppdecomp.bootstrap.epsilon_pair))
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
+                      BootstrapConfig(replicates=reps, seed=2))
+    assert outcomes == [True] * (2 * reps)
+    assert [c for c in calls if c[0] is None] == []
+    blocks = -(-reps // 12)
+    residuals = [c for c in calls if c[0] == "epsilon"]
+    assert len(residuals) == 2 * blocks
+    assert {c[1:] for c in residuals} <= {((n, r), "r") for r in ranks}
+    passes = [c for c in calls if c[0] == "filter"]
+    assert len(passes) >= 2 * blocks
+    assert {c[1] for c in passes} <= set(zip(dims, ranks))
 
 
 def test_canonical_order_hashes_only_on_a_tie(monkeypatch):

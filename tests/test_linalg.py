@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppdecomp import (DimensionMismatch, InvalidInput, orthonormalize,
+from ppdecomp import (DimensionMismatch, InvalidInput, haar_basis, orthonormalize,
                       principal_spectrum, subspace_distance)
 from conftest import angled_pair, qr_basis
 
@@ -110,3 +110,30 @@ def test_subspace_distance_planted_angle():
 def test_subspace_distance_rank_mismatch_is_one():
     q = qr_basis(10, 5, np.random.default_rng(11))
     assert subspace_distance(q[:, :2], q[:, :3]) == 1.0
+
+
+HAAR_SHAPES = pytest.mark.parametrize("n,r", [(300, 20), (167, 32), (50, 25), (50, 26),
+                                              (40, 40), (20, 20)])
+
+
+@HAAR_SHAPES
+def test_haar_basis_is_the_positive_r_q_factor(n, r):
+    # Frames with 2r <= n take CholeskyQR, wider ones a Householder QR; on
+    # either route Q is orthonormal, and R = Q^T G has a positive diagonal,
+    # which makes Q the unique factor whose law is Haar. On the Cholesky
+    # route Q also agrees with the sign-fixed Householder Q of the same G.
+    for seed in range(20):
+        q = haar_basis(n, r, np.random.default_rng(seed))
+        g = np.random.default_rng(seed).standard_normal((n, r))
+        assert np.max(np.abs(q.T @ q - np.eye(r))) <= 1e-13
+        assert np.all(np.diag(q.T @ g) > 0.0)
+        if 2 * r <= n:
+            assert np.max(np.abs(q - qr_basis(n, r, np.random.default_rng(seed)))) <= 1e-12
+
+
+@HAAR_SHAPES
+def test_haar_basis_stack_equals_per_item_calls(n, r):
+    stack = haar_basis(n, r, [np.random.default_rng(seed) for seed in range(5)])
+    assert stack.shape == (5, n, r)
+    for seed, q in enumerate(stack):
+        assert np.array_equal(q, haar_basis(n, r, np.random.default_rng(seed)))

@@ -342,3 +342,28 @@ def test_truncate_stack_matches_per_item(shape, scale, monkeypatch):
     free = truncate(stack, 6)
     for k in range(4):
         assert np.array_equal(free.basis[k], truncate(_item(stack, k), 6).basis[0])
+
+
+def test_truncate_tall_stack_bases_are_orthonormal_on_both_routes(monkeypatch):
+    # For p < n a certified item's basis is y x over its column norms, where
+    # an eigh item takes the sign-fixed QR of y x. Both must be orthonormal
+    # and span the leading left singular subspace of the formed y, with its
+    # leading singular values, descending.
+    strengths = [np.linspace(10.0, 5.0, 6), np.linspace(20.0, 4.0, 6),
+                 [9.0, 8.5, 8.0, 7.0, 6.0, 3.0]]
+    stack, y = _factored(70, 30, strengths, 0.1, seed=11)
+    outcomes = count_filtered(monkeypatch)
+    certified = truncate(stack, 6, 2.0)   # above every s_7, below every s_6
+    assert outcomes == [True] * 3
+    outcomes.clear()
+    twin = truncate(stack, 6)
+    assert outcomes == []
+    for trunc in (certified, twin):
+        for basis, values, dense in zip(trunc.basis, trunc.values, y):
+            _, s, vt = np.linalg.svd(dense)
+            q, rr = np.linalg.qr(dense @ vt[:6].T)
+            ref = q * np.copysign(1.0, np.diag(rr))
+            assert np.max(np.abs(basis.T @ basis - np.eye(6))) <= 1e-13
+            assert _projector_gap(basis, ref) <= 1e-12
+            assert np.all(np.diff(values) <= 0.0)
+            assert np.all(np.abs(values - s[:6]) <= 1e-12 * s[:6])
