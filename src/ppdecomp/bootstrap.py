@@ -3,9 +3,9 @@
 Each replicate draws a fresh pair of left bases from the Haar measure,
 re-orients the second so that its principal cosines against the first
 reproduce the observed product spectrum, rebuilds noisy data around the
-replicated signals, re-estimates the subspaces with ``truncate``, and records
-the realized perturbation. The mean over replicates estimates epsilon_1,
-the maximal downward shift of the joint singular values.
+replicated signals, re-estimates the subspaces, and records the realized
+perturbation. The mean over replicates estimates epsilon_1, the maximal
+downward shift of the joint singular values.
 
 A replicate of an n x p view is never formed, at full width or otherwise.
 Once per pair, the noise e is factored by one ``eigh`` of its smaller Gram
@@ -19,12 +19,12 @@ replicate. In the right frame O, y reads U S V^T + P diag(sigma) [I 0], so
 its Gram matrix, in P's coordinates for p >= n and in F's for p < n, is
 diag(sigma^2) plus a term of rank 2r built from U S, V_m (the first m rows
 of V) and P (Golub, 1973, SIAM Rev. 15, on modified eigenproblems); the rows
-of V past m enter only through V^T V = I. ``truncate`` takes the replicates
-in this form (``SignalPlusNoise``), and no replicate needs an m x m product
-unless its filtered eigensolver falls back to ``eigh``. Neither F nor V is
-formed: ``_row_basis_rng`` draws V_m with the law it has under V, in
-O(m r^2). Only the noise imputation and the noise frame, once per pair,
-depend on p.
+of V past m enter only through V^T V = I. This module's ``truncate`` takes
+the replicates in this form (``SignalPlusNoise``), and no replicate needs an
+m x m product unless its filtered eigensolver falls back to ``eigh``.
+Neither F nor V is formed: ``_row_basis_rng`` draws V_m with the law it has
+under V, in O(m r^2). Only the noise imputation and the noise frame, once
+per pair, depend on p.
 
 Because e is fixed for the pair, so is a bound on the replicate's tail,
 s_{r+1}(y) <= |e|_2 = sigma_1 (Weyl). Where ``_tail_bound`` finds that the
@@ -62,27 +62,47 @@ for bit, so the estimate does not depend on the block size
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
-from .linalg import haar_basis, mt, principal_spectrum
+from .linalg import haar_basis, mt, principal_spectrum, sign_fixed_qr
 from .oracle import epsilon_pair
-from .ranksel import SignalPlusNoise, Truncation, truncate, view_spectrum
+from .ranksel import Truncation, view_spectrum
 
 VARIANTS = ("rotational", "naive")
 
-# Replicates per block (see ``_block_size``). BLOCK_BYTES is what twelve
-# bounded 167 x (1572, 375) replicates at ranks 16,16 took: with one BLAS
-# thread and B = 96, ``estimate_epsilon1`` peaked under tracemalloc at 2.77,
-# 2.99, 5.44 and 10.36 MB at 3, 6, 12 and 24 per block, 0.41 MB more per
-# replicate from 12 to 24, and 0.43 MB counted. Per replicate they took
+# Replicates per block (see ``_block_size``). BLOCK_BYTES holds twelve
+# bounded 167 x (1572, 375) replicates at ranks 16,16: with one BLAS thread
+# and B = 96, ``estimate_epsilon1`` peaked under tracemalloc at 2.77, 2.87,
+# 5.20 and 9.86 MB at 3, 6, 12 and 24 per block, 0.39 MB more per replicate
+# from 12 to 24, and 0.43 MB counted. Per replicate they took
 # 2.8, 2.6, 2.4 and 2.8 ms; 300 x (90, 150) at ranks 10, 8 took 2.1, 1.5,
 # 1.4 and 1.3 ms, 50 x (80, 100) at 9, 8 1.2, 0.7, 0.7 and 0.6 ms.
 BLOCK_BYTES = 5_440_000
 BLOCK_REPLICATES = 12
+
+# The certified top-r eigensolver of ``truncate`` (see ``_filtered_top``), set
+# on the seed-1 benchmark replicates, one BLAS thread. Filter degree per pass:
+# from the signal's directions a degree-8 pass stops at a round-off floor,
+# 4e-13 to 4e-10 (degree 12 certified 29 of 1200 tall replicates); a degree-2
+# pass then certified all 800 wide and 1200 tall ones and 1943 of 2000 Table-1
+# ones (44 in the first pass, 13 in a third), in 13 Gram products against 19
+# for two degree-8 passes from coordinate vectors. Degrees 6 then 2 certified
+# none in the second pass; 6 then 3 left 15 % to a third.
+FILTER_DEGREES = (8, 2, 8)
+# Certified bound on the sine of the largest angle between the returned and
+# the true leading eigenspace; on a seeded snapshot of 90 decompositions it
+# moved the bootstrap's epsilon_1 by at most 1.4e-15 relative.
+FILTER_TOL = 1e-12
+# The filter's gain at the top of the spectrum is kept below 10^this, so no
+# damped component of a filtered block leaves the floating-point range (at
+# full degree, a noise-free stack bounded at 1e-150 s_1 underflows).
+FILTER_GAIN_DIGITS = 150
 
 
 @dataclass(frozen=True)
@@ -204,6 +224,244 @@ def _row_basis_rng(p, n, r, rng):
     c_inv = np.linalg.inv(np.linalg.cholesky(mt(gm) @ gm + low @ mt(low)))   # R^-T
     v_m = gm @ mt(c_inv)
     return v_m[0] if single else v_m
+
+
+class SignalPlusNoise(NamedTuple):
+    """A stack of n x p matrices y_b = us_b W_b^T + frame diag(noise) [I_m 0], given by factors.
+
+    With m = min(n, p), ``frame`` (n, m) and ``noise`` (m,) are the
+    ``view_spectrum`` of a noise matrix, shared by the stack, in its own right
+    frame. ``us`` is (k, n, r), and ``w`` (k, m, r) holds the first m rows of
+    each item's orthonormal (p, r) W_b; the others enter y_b y_b^T only
+    through W_b^T W_b = I.
+    """
+
+    frame: np.ndarray
+    noise: np.ndarray
+    us: np.ndarray
+    w: np.ndarray
+
+
+class _Gram(NamedTuple):
+    """diag(d) + l mid l^T for each item of a stack, formed only on request.
+
+    ``d`` is (k, m), ``l`` (k, m, c) and ``mid`` (k, c, c) symmetric. With
+    c << m, a product with a block of b columns costs O(m c b) rather than
+    the O(m^2 b) of the formed matrix, and the diagonal O(m c^2).
+    """
+
+    d: np.ndarray
+    l: np.ndarray
+    mid: np.ndarray
+
+    def take(self, idx) -> "_Gram":
+        return _Gram(self.d[idx], self.l[idx], self.mid[idx])
+
+    def apply(self, x) -> np.ndarray:
+        return self.d[..., None] * x + self.l @ (self.mid @ (mt(self.l) @ x))
+
+    def shifted(self, x, alpha, shift) -> np.ndarray:
+        """alpha (g - shift I) x, with ``alpha`` and ``shift`` (k, 1, 1): the scalars go to the small factors."""
+        out = self.l @ ((alpha * self.mid) @ (mt(self.l) @ x))
+        out += (alpha[..., 0] * (self.d - shift[..., 0]))[..., None] * x
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        return self.d + np.sum((self.l @ self.mid) * self.l, axis=-1)
+
+    def dense(self) -> np.ndarray:
+        g = (self.l @ self.mid) @ mt(self.l)
+        i = np.arange(g.shape[-1])
+        g[:, i, i] += self.d
+        return g
+
+
+def _chebyshev(g: _Gram, x, degree: int, b, top) -> np.ndarray:
+    """p(g) x for p(t) = T_degree(l(t)) / T_degree(l(top)), l(t) = 2t/b - 1; ``x`` is overwritten.
+
+    T_degree is the Chebyshev polynomial, so |p| <= 1 / T_degree(l(top)) on
+    [0, b] and p grows fast above b, up to p(top) = 1. The three-term
+    recurrence carries the scaling of Zhou and Saad (2007, J. Comput. Phys.
+    219), which keeps every iterate within the magnitude of ``x``. ``g`` is
+    a stack of k Gram matrices and ``x`` a stack of blocks (k, m, b); ``b``
+    and ``top`` hold one float per item. The scalar recurrence runs per item
+    in floats, ahead of the stacked products. Each step
+    ``alpha (g - c I) y - beta x`` is ``g.shifted(y, alpha, c)``, with the
+    scalars on the small factors of g, less ``beta x`` in x's own memory.
+    """
+    table = []
+    for bi, ti in zip(b.tolist(), top.tolist()):
+        c = e = 0.5 * bi
+        sigma1 = e / (ti - c)
+        sigma = sigma1
+        row = [c, sigma1 / e]
+        for _ in range(degree - 1):
+            sigma_next = 1.0 / (2.0 / sigma1 - sigma)
+            row += [2.0 * sigma_next / e, sigma * sigma_next]
+            sigma = sigma_next
+        table.append(row)
+    c, first, *steps = np.array(table).T[:, :, None, None]
+    y = g.shifted(x, first, c)
+    for alpha, beta in zip(steps[::2], steps[1::2]):
+        x *= -beta
+        x += g.shifted(y, alpha, c)
+        x, y = y, x
+    return y
+
+
+def _filter_degree(b: float, top: float) -> int:
+    """The highest filter degree for bound ``b`` under the gain cap; 0 if ``b`` is outside (0, top)."""
+    if not 0.0 < b < top:
+        return 0
+    return min(max(FILTER_DEGREES), int(FILTER_GAIN_DIGITS / math.log10(4.0 * top / b)))
+
+
+def _filtered_top(g: _Gram, rank: int, b):
+    """Certified leading ``rank`` eigenvectors of each PSD matrix of the stack ``g``.
+
+    ``g`` holds k matrices m x m and ``b`` k floats; ``b[i]`` must bound the
+    (rank+1)-th eigenvalue of item i from above. Returns ``(x, ok, theta)``:
+    ``x`` (k, m, rank) holds the Ritz vectors and ``theta`` (k, rank) the
+    Ritz values, descending, of the items with ``ok[i]`` True, and both are
+    unset elsewhere; ``g`` is only applied, not formed. Each theta is within
+    |R|_F of an eigenvalue, and ``x^T g x = diag(theta)`` up to round-off.
+
+    The block starts from g times the first ``rank`` columns of ``g.l``,
+    the signal's own directions (see ``_factored_gram``). Each pass applies
+    a Chebyshev filter of that pass's degree in FILTER_DEGREES that damps
+    [0, b] to the block, orthonormalizes it and takes Ritz pairs (theta, X)
+    with residual R = g X - X theta. An item's pairs are accepted if
+    theta_r - |R|_F > b: then ``rank`` eigenvalues lie within |R| of the
+    theta (Kahan), all above b, so they are the leading ones; and if
+    |R|_F / (theta_r - b), which bounds sin(angle) to the leading eigenspace
+    (Davis and Kahan, 1970), is below FILTER_TOL. Certified items leave the
+    block; the rest go on. An item fails after the last pass, or if ``b`` is
+    outside (0, trace g) or so small that the filter's gain would leave the
+    floating-point range. Items whose gain cap lowers their degrees run in
+    separate groups, and each item is computed as it would be alone.
+    """
+    diag = g.diagonal()
+    k = len(diag)
+    top = diag.sum(axis=-1)   # the trace, >= the largest eigenvalue of a PSD g
+    caps = np.array([_filter_degree(bi, ti) for bi, ti in zip(b.tolist(), top.tolist())])
+    x_out = theta_out = None
+    ok = np.zeros(k, dtype=bool)
+    for cap in set(caps.tolist()) - {0}:
+        act = np.flatnonzero(caps == cap)
+        ga = g if act.size == k else g.take(act)
+        x = ga.apply(ga.l[..., :rank])
+        for degree in FILTER_DEGREES:
+            x = np.linalg.qr(_chebyshev(ga, x, min(degree, cap), b[act], top[act]))[0]
+            x, theta, res = _ritz(ga, x)
+            low = theta[:, -1]
+            good = (low - res > b[act]) & (res / (low - b[act]) < FILTER_TOL)
+            if act.size == k and good.all():
+                return x, good, theta   # the whole stack at once: no copy
+            if x_out is None:
+                x_out, theta_out = np.empty(diag.shape + (rank,)), np.empty((k, rank))
+            x_out[act[good]] = x[good]
+            theta_out[act[good]] = theta[good]
+            ok[act[good]] = True
+            if good.all():
+                break
+            act, ga, x = act[~good], ga.take(~good), x[~good]
+    if x_out is None:
+        x_out, theta_out = np.empty(diag.shape + (rank,)), np.empty((k, rank))
+    return x_out, ok, theta_out
+
+
+def _ritz(g: _Gram, x):
+    """(X, theta, |R|_F): the Ritz pairs of each g on the orthonormal block x, descending, and their residual norms."""
+    gx = g.apply(x)
+    theta, w = np.linalg.eigh(mt(x) @ gx)
+    theta, w = theta[:, ::-1], w[:, :, ::-1]
+    x = x @ w
+    resid = gx @ w
+    resid -= x * theta[:, None, :]
+    resid = resid.reshape(len(x), 1, -1)
+    # |R|_F as a dot product, which is how the 2-D norm sums it.
+    return x, theta, np.sqrt(resid @ mt(resid))[:, 0, 0]
+
+
+def truncate(stack: SignalPlusNoise, rank: int, tail_bound=None) -> Truncation:
+    """:func:`ppdecomp.ranksel.truncate` of each item of a replicate stack, from its factored Gram matrix.
+
+    ``basis`` is (k, n, rank) and ``values`` (k, rank), each item bit for bit
+    as truncating it as a stack of one. For the leading eigenvectors x, with
+    eigenvalues theta, of G, the Gram matrix of an item over its scale c
+    (``_factored_gram``), the basis is ``frame x`` if p >= n. If p < n it is
+    ``y x = us (w^T x) + frame (noise * x)`` with its columns normalized, as
+    ``(y x)^T (y x) = c^2 diag(theta)``: to round-off for a certified item,
+    whose residual bounds the columns' overlaps; an ``eigh`` item, whose
+    trailing columns may be round-off, takes the sign-fixed QR instead,
+    leading columns first. ``values`` are ``c sqrt(theta)``, descending.
+
+    ``tail_bound``, if given, must bound s_{rank+1} of every item from above.
+    With ``rank`` at most 2r, the columns of L, the leading eigenvectors then
+    come from ``_filtered_top``, which damps the Gram spectrum below
+    ``(tail_bound / c)^2``, applies the Gram matrix in O(m r^2) and keeps
+    only certified items. All other items take ``eigh`` of the formed m x m
+    Gram matrix, so a bound that is 0, at least s_rank or never certified
+    gives the bound-free result bit for bit.
+    """
+    n, m = stack.frame.shape
+    k = len(stack.us)
+    if rank < 0 or rank > m:
+        raise InvalidInput(f"rank must lie in [0, {m}], got {rank}")
+    if rank == 0:
+        return Truncation(np.zeros((k, n, 0)), np.zeros((k, 0)))
+    g, us, noise, scale = _factored_gram(stack)
+    if tail_bound is not None and tail_bound > 0 and rank <= g.l.shape[-1]:
+        t = float(tail_bound) / scale
+        x, ok, theta = _filtered_top(g, rank, t * t)
+    else:
+        x, ok, theta = np.empty((k, m, rank)), np.zeros(k, dtype=bool), np.empty((k, rank))
+    if not ok.all():
+        lam, vec = np.linalg.eigh(g.take(~ok).dense())
+        x[~ok], theta[~ok] = vec[..., :-rank - 1:-1], lam[..., :-rank - 1:-1]
+    values = scale[:, None] * np.sqrt(np.maximum(theta, 0.0))
+    if m == n:
+        return Truncation(stack.frame @ x, values)
+    basis = us @ (mt(stack.w) @ x)
+    basis += stack.frame @ (noise[..., None] * x)
+    if ok.all():
+        basis /= np.linalg.norm(basis, axis=-2)[..., None, :]
+    else:
+        basis[ok] /= np.linalg.norm(basis[ok], axis=-2)[..., None, :]
+        basis[~ok] = sign_fixed_qr(basis[~ok])
+    return Truncation(basis, values)
+
+
+def _factored_gram(y: SignalPlusNoise):
+    """(g, us / c, noise / c, c): the Gram matrix ``g`` of each item of ``y`` over its scale c.
+
+    c = max(max|us|, noise_1), so that no entry of the Gram matrix can
+    overflow or underflow; ``noise / c`` is (k, m). With ``pu = frame^T us``
+    and all quantities over c, the Gram matrix is diag(noise^2) + L M L^T
+    with L of 2r columns: for p >= n it is ``frame^T y y^T frame``, with
+    L = [pu, noise * w] and M = [[I, I], [I, 0]] (W^T W = I removes the rows
+    of W past m); for p < n it is ``y^T y``, with L = [w, noise * pu] and
+    M = [[us^T us, I], [I, 0]]; ``us / c`` is None for p >= n, as L holds pu.
+    """
+    frame, noise, us, w = y
+    n, m = frame.shape
+    k, r = us.shape[0], us.shape[-1]
+    scale = np.maximum(np.max(np.abs(us), axis=(1, 2), initial=0.0), noise[0])
+    scale[scale == 0.0] = 1.0
+    us = us / scale[:, None, None]
+    noise = noise / scale[:, None]
+    pu = mt(frame) @ us
+    eye = np.eye(r)
+    mid = np.zeros((k, 2 * r, 2 * r))
+    mid[:, :r, r:] = mid[:, r:, :r] = eye
+    if m == n:
+        us = None
+        l = np.concatenate([pu, noise[..., None] * w], axis=-1)
+        mid[:, :r, :r] = eye
+    else:
+        l = np.concatenate([w, noise[..., None] * pu], axis=-1)
+        mid[:, :r, :r] = mt(us) @ us
+    return _Gram(noise * noise, l, mid), us, noise, scale
 
 
 def _replicates(us, v_m, frame) -> SignalPlusNoise:

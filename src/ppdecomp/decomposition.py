@@ -4,8 +4,7 @@ Pipeline for two views Y1, Y2 sharing their n rows:
 
 1. factor each view once (``view_spectrum``); from that, pick its marginal
    rank and noise level by the hard-threshold rule (``select_rank``) and
-   take its signal subspace and values at that rank (``truncate``, which
-   also re-truncates every bootstrap replicate);
+   take its signal subspace and values at that rank (``truncate``);
 2. bootstrap the perturbation bound epsilon_1 of the top spectral cluster;
 3. bound random-alignment singular values analytically by sqrt(lambda_plus)
    with rank-to-dimension ratios q_k = rank_k / n;

@@ -128,10 +128,14 @@ def haar_basis(n: int, r: int, rng) -> np.ndarray:
         if 2 * r <= n:
             q = q @ mt(np.linalg.inv(np.linalg.cholesky(mt(q) @ q)))
         else:
-            q, rr = np.linalg.qr(q)
-            # Fix the QR sign ambiguity so the frame is exactly Haar distributed.
-            q *= np.sign(rr.diagonal(0, -2, -1))[..., None, :]
+            q = sign_fixed_qr(q)
     return q[0] if single else q
+
+
+def sign_fixed_qr(a) -> np.ndarray:
+    """Householder Q of each matrix of ``a``, column i signed by ``copysign(1, R_ii)``: that Q of a Gaussian is Haar."""
+    q, rr = np.linalg.qr(a)
+    return q * np.copysign(1.0, np.diagonal(rr, axis1=-2, axis2=-1))[..., None, :]
 
 
 def reduced_coords(*bases: np.ndarray):

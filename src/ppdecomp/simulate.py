@@ -26,7 +26,7 @@ from ._rng import STREAM_CELL, derive_rng, derive_seed
 from .bootstrap import BootstrapConfig
 from .decomposition import DecompositionResult, decompose_multiview
 from .exceptions import BootstrapInfeasible, DimensionMismatch, InvalidInput
-from .linalg import haar_basis
+from .linalg import sign_fixed_qr
 
 RANK_MODES = ("true", "estimated", "under", "over")
 
@@ -119,9 +119,9 @@ def generate(cfg: SimConfig):
     sigmas = []
     for p, ind in zip(cfg.dims, individuals):
         sv_joint = rng.uniform(lo, hi, size=r_j)
-        v_joint = haar_basis(p, r_j, rng)
+        v_joint = sign_fixed_qr(rng.standard_normal((p, r_j)))
         sv_ind = rng.uniform(lo, hi, size=ind.shape[1])
-        v_ind = haar_basis(p, ind.shape[1], rng)
+        v_ind = sign_fixed_qr(rng.standard_normal((p, ind.shape[1])))
         x = (joint * sv_joint) @ v_joint.T + (ind * sv_ind) @ v_ind.T
         rank = r_j + ind.shape[1]
         if math.isinf(cfg.snr) or rank == 0:

@@ -44,17 +44,17 @@ def prepared_views(cfg, ranks=None):
 
 def count_filtered(monkeypatch):
     """Record, per item that truncate hands its filtered eigensolver, whether it certified."""
-    import ppdecomp.ranksel
+    import ppdecomp.bootstrap
 
     outcomes = []
-    filtered_top = ppdecomp.ranksel._filtered_top
+    filtered_top = ppdecomp.bootstrap._filtered_top
 
     def counted(*args):
         out = filtered_top(*args)
         outcomes.extend(out[1].tolist())
         return out
 
-    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", counted)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_filtered_top", counted)
     return outcomes
 
 

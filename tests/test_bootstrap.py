@@ -9,11 +9,11 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       generate, haar_basis, misspecify_ranks, principal_spectrum,
                       rotate_align, select_rank, Truncation, truncate)
 import ppdecomp.bootstrap
-import ppdecomp.ranksel
-from ppdecomp.bootstrap import (_block_size, _canonical_order, _haar_pair_rng,
-                                _noise_replicate_rng, _replicates, _row_basis_rng, _tail_bound)
+from ppdecomp.bootstrap import (SignalPlusNoise, _block_size, _canonical_order,
+                                _factored_gram, _haar_pair_rng, _noise_replicate_rng,
+                                _replicates, _row_basis_rng, _tail_bound)
 from ppdecomp.linalg import mt
-from ppdecomp.ranksel import SignalPlusNoise, _factored_gram, view_spectrum
+from ppdecomp.ranksel import view_spectrum
 from conftest import count_filtered, prepared_views, projector, qr_basis
 
 FIVE_CFG = dict(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
@@ -276,7 +276,7 @@ def test_frame_replicate_has_the_replicate_gram(n, p, noise):
             s = np.linalg.svd(z, compute_uv=False)
             assert s[r] <= frame[1][0] * (1.0 + 1e-12) + 1e-14 * s[0]
             assert frame[1][0] == pytest.approx(np.linalg.norm(e, 2), rel=1e-12, abs=0.0)
-        basis = truncate(_replicates(us[None], v_m[None], frame), r).basis[0]
+        basis = ppdecomp.bootstrap.truncate(_replicates(us[None], v_m[None], frame), r).basis[0]
         assert np.max(np.abs(projector(basis) - projector(truncate(y, r).basis))) <= 1e-10
 
 
@@ -525,21 +525,21 @@ def test_block_size_from_footprint(monkeypatch):
 def _filter_products(monkeypatch, views, ranks):
     """(products with the Gram matrix, certified) of each item that a
     seeded decomposition hands the filtered eigensolver, each item run alone."""
-    filtered_top = ppdecomp.ranksel._filtered_top
+    filtered_top = ppdecomp.bootstrap._filtered_top
     calls = []
 
     def recorded(g, rank, b):
         calls.append((g, rank, b))
         return filtered_top(g, rank, b)
 
-    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top", recorded)
+    monkeypatch.setattr(ppdecomp.bootstrap, "_filtered_top", recorded)
     decompose(*views, ranks=ranks, bootstrap=BootstrapConfig(replicates=12, seed=5))
     # A product is a plain one or a shifted and scaled one of the recurrence.
     products = []
-    apply, shifted = ppdecomp.ranksel._Gram.apply, ppdecomp.ranksel._Gram.shifted
-    monkeypatch.setattr(ppdecomp.ranksel._Gram, "apply",
+    apply, shifted = ppdecomp.bootstrap._Gram.apply, ppdecomp.bootstrap._Gram.shifted
+    monkeypatch.setattr(ppdecomp.bootstrap._Gram, "apply",
                         lambda g, x: products.append(1) or apply(g, x))
-    monkeypatch.setattr(ppdecomp.ranksel._Gram, "shifted",
+    monkeypatch.setattr(ppdecomp.bootstrap._Gram, "shifted",
                         lambda g, *args: products.append(1) or shifted(g, *args))
     out = []
     for g, rank, b in calls:
@@ -596,8 +596,8 @@ def test_certified_replicate_loop_factors_only_filter_blocks_and_residuals(monke
         return run
 
     outcomes = count_filtered(monkeypatch)
-    monkeypatch.setattr(ppdecomp.ranksel, "_filtered_top",
-                        inside("filter", ppdecomp.ranksel._filtered_top))
+    monkeypatch.setattr(ppdecomp.bootstrap, "_filtered_top",
+                        inside("filter", ppdecomp.bootstrap._filtered_top))
     monkeypatch.setattr(ppdecomp.bootstrap, "epsilon_pair",
                         inside("epsilon", ppdecomp.bootstrap.epsilon_pair))
     monkeypatch.setattr(np.linalg, "qr", counted)

@@ -6,7 +6,8 @@ import pytest
 from ppdecomp import (InvalidInput, SimConfig, generate, gd_coefficient,
                       marchenko_pastur_median, mp_median_sv, select_rank,
                       truncate)
-from ppdecomp.ranksel import SignalPlusNoise
+from ppdecomp import bootstrap
+from ppdecomp.bootstrap import SignalPlusNoise
 from conftest import count_filtered, projector, qr_basis
 
 
@@ -241,12 +242,12 @@ def test_truncate_tail_bound_matches_bound_free(shape, monkeypatch):
         stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.1, seed=sum(shape),
                              scale=scale)
         s = np.linalg.svd(y[0] / scale, compute_uv=False)
-        free = truncate(stack, 6)
+        free = bootstrap.truncate(stack, 6)
         dense = truncate(y[0], 6)
         assert _projector_gap(free.basis[0], dense.basis) <= 1e-12
         assert np.all(np.abs(free.values[0] - dense.values) <= 1e-12 * dense.values)
         for bound in (s[6], 2.0 * s[6]):
-            bounded = truncate(stack, 6, bound * scale)
+            bounded = bootstrap.truncate(stack, 6, bound * scale)
             assert _projector_gap(bounded.basis[0], free.basis[0]) <= 1e-12
             assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values)
             assert np.all(np.diff(bounded.values) <= 0.0)
@@ -259,10 +260,10 @@ def test_truncate_useless_tail_bound_is_bit_identical(shape, monkeypatch):
     # tried; either way the eigh route runs. The first two do enter the filter.
     stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.1, seed=sum(shape))
     s = np.linalg.svd(y[0], compute_uv=False)
-    free = truncate(stack, 6)
+    free = bootstrap.truncate(stack, 6)
     outcomes = count_filtered(monkeypatch)
     for bound in (s[5], 0.5 * (s[4] + s[5]), 2.0 * s[0], 0.0):
-        bounded = truncate(stack, 6, bound)
+        bounded = bootstrap.truncate(stack, 6, bound)
         assert np.array_equal(bounded.basis, free.basis)
         assert np.array_equal(bounded.values, free.values)
     assert len(outcomes) >= 2 and not any(outcomes)
@@ -277,9 +278,9 @@ def test_truncate_round_off_tail_bound_raises_no_float_error(shape, monkeypatch)
     outcomes = count_filtered(monkeypatch)
     for strengths in (np.linspace(10.0, 5.0, 6), np.linspace(10.0, 5.0, 4)):
         stack, y = _factored(*shape, [strengths], 1e-16, seed=sum(shape))
-        free = truncate(stack, 6)
+        free = bootstrap.truncate(stack, 6)
         with np.errstate(all="raise"):
-            bounded = truncate(stack, 6, 1e-13 * np.linalg.norm(y[0], 2))
+            bounded = bootstrap.truncate(stack, 6, 1e-13 * np.linalg.norm(y[0], 2))
         assert _projector_gap(bounded.basis[0], free.basis[0]) <= 1e-12
         assert np.all(np.abs(bounded.values - free.values) <= 1e-12 * free.values[0, 0])
     assert outcomes == [True, False]
@@ -293,17 +294,12 @@ def test_truncate_gain_cap_keeps_a_tiny_tail_bound_in_range(shape, monkeypatch):
     # eigh and comes out as without a bound, bit for bit.
     outcomes = count_filtered(monkeypatch)
     stack, y = _factored(*shape, [np.linspace(10.0, 5.0, 6)], 0.0, seed=sum(shape))
-    free = truncate(stack, 6)
+    free = bootstrap.truncate(stack, 6)
     with np.errstate(all="raise"):
-        bounded = truncate(stack, 6, 1e-150 * np.linalg.norm(y[0], 2))
+        bounded = bootstrap.truncate(stack, 6, 1e-150 * np.linalg.norm(y[0], 2))
     assert np.array_equal(bounded.basis, free.basis)
     assert np.array_equal(bounded.values, free.values)
     assert outcomes == [False]
-
-
-def test_truncate_tail_bound_needs_a_factored_stack():
-    with pytest.raises(InvalidInput):
-        truncate(np.eye(4), 2, 0.5)
 
 
 def test_truncate_rejects_excessive_rank():
@@ -325,10 +321,10 @@ def test_truncate_stack_matches_per_item(shape, scale, monkeypatch):
     stack, y = _factored(*shape, strengths, 0.1, seed=7, scale=scale)
     bound = 2.0 * scale   # above every s_7, below s_6 of the certified items
     outcomes = count_filtered(monkeypatch)
-    stacked = truncate(stack, 6, bound)
+    stacked = bootstrap.truncate(stack, 6, bound)
     stacked_outcomes = outcomes[:]
     outcomes.clear()
-    alone = [truncate(_item(stack, k), 6, bound) for k in range(4)]
+    alone = [bootstrap.truncate(_item(stack, k), 6, bound) for k in range(4)]
     assert stacked_outcomes == outcomes == [True, False, True, False]
     assert stacked.basis.shape == (4, shape[0], 6) and stacked.values.shape == (4, 6)
     for k, one in enumerate(alone):
@@ -339,9 +335,9 @@ def test_truncate_stack_matches_per_item(shape, scale, monkeypatch):
     for k in (0, 2):   # the certified items agree with the dense route
         assert _projector_gap(stacked.basis[k], truncate(y[k], 6).basis) <= 1e-12
     # A bound-free stack runs eigh, each item as it would alone.
-    free = truncate(stack, 6)
+    free = bootstrap.truncate(stack, 6)
     for k in range(4):
-        assert np.array_equal(free.basis[k], truncate(_item(stack, k), 6).basis[0])
+        assert np.array_equal(free.basis[k], bootstrap.truncate(_item(stack, k), 6).basis[0])
 
 
 def test_truncate_tall_stack_bases_are_orthonormal_on_both_routes(monkeypatch):
@@ -353,10 +349,10 @@ def test_truncate_tall_stack_bases_are_orthonormal_on_both_routes(monkeypatch):
                  [9.0, 8.5, 8.0, 7.0, 6.0, 3.0]]
     stack, y = _factored(70, 30, strengths, 0.1, seed=11)
     outcomes = count_filtered(monkeypatch)
-    certified = truncate(stack, 6, 2.0)   # above every s_7, below every s_6
+    certified = bootstrap.truncate(stack, 6, 2.0)   # above every s_7, below every s_6
     assert outcomes == [True] * 3
     outcomes.clear()
-    twin = truncate(stack, 6)
+    twin = bootstrap.truncate(stack, 6)
     assert outcomes == []
     for trunc in (certified, twin):
         for basis, values, dense in zip(trunc.basis, trunc.values, y):

@@ -71,6 +71,23 @@ def test_generate_signal_orthogonality_invariants():
         assert np.max(np.abs(truth.joint.T @ ind)) <= 1e-10
 
 
+def test_generate_does_not_draw_through_haar_basis(monkeypatch):
+    # The planted row frames are drawn in the generator itself, so a change
+    # to how the bootstrap's Haar frames are computed cannot move the data.
+    import ppdecomp.linalg
+    import ppdecomp.simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate must not call haar_basis")
+
+    for module in (ppdecomp.linalg, ppdecomp.simulate):
+        if hasattr(module, "haar_basis"):
+            monkeypatch.setattr(module, "haar_basis", refuse)
+    views, truth = generate(base_cfg(individual_ranks=(5, 0)))
+    assert [y.shape for y in views] == [(50, 80), (50, 100)]
+    assert truth.individuals[1].shape == (50, 0)
+
+
 def test_generate_rejects_bad_configs():
     with pytest.raises(InvalidInput):
         base_cfg(angle_deg=0.0)
