@@ -2,11 +2,13 @@
 
 The CSV dialect is a plain numeric RFC-4180 subset: comma separator, '.'
 decimal point, one row per line, optional single header row. Rows are the
-shared samples, columns the per-view features.
+shared samples, columns the per-view features. Files are read and written a
+line at a time, so neither holds a whole file's text in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import tempfile
@@ -18,25 +20,24 @@ from .exceptions import InvalidInput, ParseError
 
 
 def _loadtxt(path, has_header: bool) -> np.ndarray:
-    """The matrix as ``np.loadtxt`` parses it, from one read of the file.
+    """The matrix as ``np.loadtxt`` parses it, streamed line by line.
 
     ``loadtxt`` skips empty lines, which ``read_matrix_csv`` rejects, and
     reads some non-ASCII cells (``1\u00a0``) that the dialect excludes, so
-    input with either raises ValueError here. ``loadtxt`` only warns about an
-    input without data rows, so the warning is raised.
+    input with either raises ValueError here (UnicodeDecodeError for a
+    non-ASCII byte). Lines end in LF, CR LF or CR. ``loadtxt`` only warns
+    about an input without data rows, so the warning is raised.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        raise ValueError("non-ASCII input")
-    lines = data.splitlines()   # lines end in LF, CR LF or CR
-    del data
-    if b"" in lines:
-        raise ValueError("empty line")
-    with warnings.catch_warnings():
+    def nonempty(lines):
+        for line in lines:
+            if line == "\n":
+                raise ValueError("empty line")
+            yield line
+
+    with open(path, encoding="ascii") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt((line.decode("ascii") for line in lines), delimiter=",",
-                          comments=None, skiprows=int(has_header), ndmin=2)
+        return np.loadtxt(nonempty(fh), delimiter=",", comments=None,
+                          skiprows=int(has_header), ndmin=2)
 
 
 def _cell(text: str, path, lineno: int, col: int) -> float:
@@ -95,13 +96,15 @@ def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A temp file in ``path``'s directory, renamed over ``path`` if the
+    block completes and removed on any exception."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -109,12 +112,19 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file in the same directory plus rename."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_matrix_csv(path, matrix, header=None) -> None:
     """Write a matrix as CSV; floats use their shortest exact representation."""
     matrix = np.asarray(matrix, dtype=float)
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        elif not len(matrix):
+            fh.write("\n")   # no rows and no header: one empty line
+        for row in matrix:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

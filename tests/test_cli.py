@@ -1,6 +1,9 @@
 import csv
+import io
 import json
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import ppdecomp as ppd
 from ppdecomp import InvalidInput, ParseError, read_matrix_csv, write_matrix_csv
 from ppdecomp.cli import _load_result_json, main
+from ppdecomp.matrixio import _loadtxt
 from conftest import qr_basis
 
 
@@ -188,6 +192,95 @@ def test_read_matrix_csv_float_text_property(shape, data, fmt, has_header):
         got = read_matrix_csv(path, has_header)
         assert got.tobytes() == _loop_read_matrix_csv(path, has_header).tobytes()
     assert np.array_equal(got, m, equal_nan=True)
+
+
+# One row of ones whose line end starts at the last character of the first
+# text buffer, so that line ends, empty lines and non-ASCII bytes can be put
+# at and past the buffer's edge.
+_ROW = b",".join([b"1"] * (io.DEFAULT_BUFFER_SIZE // 2))
+STREAM_CASES = {
+    "crlf-split-across-buffers": ((_ROW + b"\r\n") * 3, False),
+    "cr-only-past-buffer": (b"1.5,2.5\r" * 2000, False),
+    "blank-line-past-buffer": ((_ROW + b"\n") * 2 + b"\n" + _ROW + b"\n", False),
+    "non-ascii-row-past-buffer": ((_ROW + b"\n") * 2 + _ROW + "\u00a0\n".encode(), False),
+    "non-ascii-header-past-buffer": (_ROW + b",\xe9\n1,2\n3,4\n", True),   # not UTF-8
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_read_matrix_csv_streams_past_the_text_buffer(tmp_path, case):
+    # The file reaches np.loadtxt through a text buffer of
+    # io.DEFAULT_BUFFER_SIZE characters: a CR LF pair split across two
+    # buffers is one line end, and what lies past the first buffer is
+    # checked as what lies in it.
+    data, has_header = STREAM_CASES[case]
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    got = _outcome(read_matrix_csv, path, has_header)
+    assert got == _outcome(_loop_read_matrix_csv, path, has_header)
+    if case == "blank-line-past-buffer":
+        assert got[:3] == ("ParseError", f"{path}: line 3 has 0 fields, expected 4096", 3)
+    if case in ("crlf-split-across-buffers", "cr-only-past-buffer"):
+        assert _loadtxt(path, has_header).tobytes() == got[2]   # no fallback to the loop
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(200, 2000), (50, 20000)])
+def test_read_matrix_csv_peak_memory_is_about_the_array(tmp_path, shape):
+    # The file is streamed into np.loadtxt, never held whole as bytes or lines.
+    path = tmp_path / "m.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal(shape), fmt="%.17g",
+               delimiter=",")
+    m, peak = _traced_peak(read_matrix_csv, path)
+    assert m.shape == shape and peak <= 2 * m.nbytes
+
+
+def _joined_csv(matrix, header=None):
+    """The CSV text as one string, rows formatted as ``write_matrix_csv`` does."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in np.asarray(matrix, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_matrix_csv_streams_rows(tmp_path):
+    # Each row is written as soon as it is formatted, so the peak is about one
+    # row of text, and the file is the one-string form byte for byte.
+    m = np.random.default_rng(1).standard_normal((200, 2000))
+    path = tmp_path / "m.csv"
+    _, peak = _traced_peak(write_matrix_csv, path, m)
+    assert peak < 1e6
+    assert path.read_bytes() == _joined_csv(m).encode()
+    for matrix, header in [(m[:2, :3], ["a", "b", "c"]), (np.empty((0, 3)), None),
+                           (np.empty((0, 3)), ["a", "b", "c"]), (np.empty((2, 0)), None)]:
+        write_matrix_csv(path, matrix, header)
+        assert path.read_bytes() == _joined_csv(matrix, header).encode()
+
+
+@pytest.mark.parametrize("failure", ["replace", "header"])
+def test_write_matrix_csv_failure_keeps_the_target(tmp_path, monkeypatch, failure):
+    # A write that fails, in the rename or while rows stream into the temp
+    # file, leaves the previous file as it was and no temp file behind.
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.0,2.0\n")
+    header = None
+    if failure == "replace":
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+    else:
+        header = ["a", 2]   # not text: join raises once the temp file is open
+    with pytest.raises((OSError, TypeError)):
+        write_matrix_csv(path, np.ones((3, 2)), header)
+    assert path.read_bytes() == b"1.0,2.0\n"
+    assert list(tmp_path.glob(".tmp-*~")) == []
 
 
 # ---------------------------------------------------------------------------
