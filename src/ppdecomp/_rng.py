@@ -16,7 +16,6 @@ from .exceptions import InvalidInput
 STREAM_NOISE = 0        # noise-replicate imputation, one child per view
 STREAM_REPLICATE = 1    # one child per bootstrap replicate
 STREAM_PAIR = 2         # one child per view pair in the multi-view path
-STREAM_RANKS = 3        # rank misspecification draws
 STREAM_CELL = 4         # benchmark grid cells
 
 

@@ -50,13 +50,13 @@ underestimates the perturbation.
 
 Replicates run in blocks. Replicate b draws its Gaussians from its own
 stream, ``derive_rng(seed, STREAM_REPLICATE, b)``, in a fixed order: the Haar
-pair, then the row basis of the first view, then that of the second. The rest
-of the work (frames, re-truncation, epsilon) runs once per block, as stacked
-numpy calls over a leading replicate axis: a small replicate costs the
-interpreter about as much as LAPACK, and a block pays that once. Every
-stacked step computes each replicate as it would in a block of its own, bit
-for bit, so the estimate does not depend on the block size
-(``_block_size``).
+pair, then each view's row basis in ``canonical_order``, each view's
+replicates re-truncated before the next one's are drawn. The work runs once
+per block, as stacked numpy calls over a leading replicate axis: a small
+replicate costs the interpreter about as much as LAPACK, and a block pays
+that once. Every stacked step computes each replicate as it would in a
+block of its own, bit for bit, so the estimate does not depend on the block
+size (``_block_size``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
 from .linalg import haar_basis, mt, principal_spectrum, sign_fixed_qr
 from .oracle import epsilon_pair
-from .ranksel import Truncation, view_spectrum
+from .ranksel import RANK_FLOOR, Truncation, view_spectrum
 
 VARIANTS = ("rotational", "naive")
 
@@ -501,11 +501,11 @@ def _tail_bound(trunc: Truncation, k: int, noise):
     s_{r+1} <= |e|_2 (Weyl), so the bound is always valid; it is passed only
     where the filtered eigensolver can certify: every retained column is
     signal (k == r), the noise is above the rank rule's round-off floor
-    1e-12 s_1, and the smallest retained value clears it by half again.
-    Elsewhere the filter would fall back to ``eigh`` after wasted passes.
+    (``RANK_FLOOR`` s_1), and the smallest retained value clears it by half
+    again. Elsewhere the filter would fall back to ``eigh`` after wasted passes.
     """
     values, noise_norm = trunc.values, float(noise[0])
-    if k == values.size and 1e-12 * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
+    if k == values.size and RANK_FLOOR * values[0] < noise_norm and 1.5 * noise_norm < values[-1]:
         return noise_norm
     return None
 
@@ -516,12 +516,12 @@ def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np
     ``trunc`` must retain at least one value. ``trunc.values`` is descending
     and the inversion is increasing, so the non-zero strengths form a prefix.
     Values within round-off of zero relative to the leading one (the rank
-    floor of :mod:`ppdecomp.ranksel`) count as noise even when ``sigma_hat``
-    is 0.
+    floor ``RANK_FLOOR`` of :mod:`ppdecomp.ranksel`) count as noise even when
+    ``sigma_hat`` is 0.
     """
     y = trunc.values
     edge = sigma_hat * (np.sqrt(n) + np.sqrt(p))
-    signal = y > max(edge, 1e-12 * y[0])
+    signal = y > max(edge, RANK_FLOOR * y[0])
     out = np.zeros_like(y)
     if not signal[0]:
         return out
@@ -536,24 +536,22 @@ def _signal_strengths(trunc: Truncation, sigma_hat: float, n: int, p: int) -> np
     return out
 
 
-def _canonical_order(y1, trunc1, sigma1, y2, trunc2, sigma2):
-    """Deterministic ordering of the two views, independent of caller order and view scale.
+def canonical_order(views, truncs) -> list[int]:
+    """Indices of ``views`` in a deterministic order, independent of caller order and view scale.
 
     Views are ordered by width, rank, and retained spectrum relative to its
     leading value, rounded to 8 decimals so that the round-off of rescaling a
     view cannot reorder them. Only views that tie on all three, such as a
-    view and a multiple of it, fall back to their bytes.
+    view and a multiple of it, append the SHA-256 digest of their bytes.
     """
-    def key(y, trunc):
+    keys = []
+    for y, trunc in zip(views, truncs):
         v = trunc.values
         shape = np.round(v / v[0], 8) if v.size and v[0] > 0 else v
-        return (y.shape[1], v.size, tuple(shape))
-    key1, key2 = key(y1, trunc1), key(y2, trunc2)
-    if key1 == key2:
-        key1, key2 = (hashlib.sha256(np.ascontiguousarray(y)).digest() for y in (y1, y2))
-    if key2 < key1:
-        return (y2, trunc2, sigma2, y1, trunc1, sigma1)
-    return (y1, trunc1, sigma1, y2, trunc2, sigma2)
+        keys.append((y.shape[1], v.size, tuple(shape)))
+    keys = [key + (hashlib.sha256(np.ascontiguousarray(y)).digest(),) if keys.count(key) > 1
+            else key for key, y in zip(keys, views)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
@@ -564,55 +562,48 @@ def estimate_epsilon1(y1, y2, trunc1: Truncation, trunc2: Truncation,
     at the selected marginal ranks, and ``sigma1``/``sigma2`` the per-view
     noise-level estimates. Deterministic given ``cfg.seed``; the naive and
     rotational variants consume identical random streams, so paired A/B runs
-    are reproducible. The result does not depend on the order of the views.
+    are reproducible. The result does not depend on the order of the views
+    (``canonical_order``).
     """
-    y1 = np.asarray(y1, float)
-    y2 = np.asarray(y2, float)
-    y1, trunc1, sigma1, y2, trunc2, sigma2 = _canonical_order(
-        y1, trunc1, sigma1, y2, trunc2, sigma2)
-    n = y1.shape[0]
-    r1 = trunc1.basis.shape[1]
-    r2 = trunc2.basis.shape[1]
-    if y2.shape[0] != n:
+    ys, truncs = [np.asarray(y1, float), np.asarray(y2, float)], [trunc1, trunc2]
+    n = ys[0].shape[0]
+    if ys[1].shape[0] != n:
         raise InvalidInput("views must share the row dimension")
+    views = [(ys[k], truncs[k], (sigma1, sigma2)[k]) for k in canonical_order(ys, truncs)]
+    widths = [y.shape[1] for y, _, _ in views]
+    ranks = [trunc.basis.shape[1] for _, trunc, _ in views]
     b_reps = cfg.replicates
-    if min(r1, r2) == 0:
+    if min(ranks) == 0:
         return EpsilonEstimate(0.0, np.zeros(b_reps), cfg.variant)
-    if r1 + r2 > n:
-        raise BootstrapInfeasible(
-            f"cannot embed ranks {r1} + {r2} orthogonally in dimension {n}; "
-            "lower the marginal ranks"
-        )
+    if sum(ranks) > n:
+        raise BootstrapInfeasible(f"cannot embed ranks {ranks[0]} + {ranks[1]} orthogonally "
+                                  f"in dimension {n}; lower the marginal ranks")
 
-    sigma_m = principal_spectrum(trunc1.basis, trunc2.basis)
-    s1 = _signal_strengths(trunc1, sigma1, n, y1.shape[1])
-    s2 = _signal_strengths(trunc2, sigma2, n, y2.shape[1])
-    k1 = int(np.count_nonzero(s1))
-    k2 = int(np.count_nonzero(s2))
-    # Each noise is scaled in place and dropped once framed: one n x p at a time.
-    frame2 = view_spectrum(_noise_replicate_rng(y2, trunc2, sigma2,
-                                                derive_rng(cfg.seed, STREAM_NOISE, 1)), True)
-    frame1 = view_spectrum(_noise_replicate_rng(y1, trunc1, sigma1,
-                                                derive_rng(cfg.seed, STREAM_NOISE, 0)), True)
-    bound1 = _tail_bound(trunc1, k1, frame1[1])
-    bound2 = _tail_bound(trunc2, k2, frame2[1])
+    sigma_m = principal_spectrum(views[0][1].basis, views[1][1].basis)
+    strengths = [_signal_strengths(trunc, sigma, n, y.shape[1]) for y, trunc, sigma in views]
+    counts = [int(np.count_nonzero(s)) for s in strengths]
+    # Each noise is scaled in place and dropped once framed, the wider view's
+    # first: one n x p array at a time, beside the narrower view's frame.
+    frames = [view_spectrum(_noise_replicate_rng(*views[k], derive_rng(cfg.seed, STREAM_NOISE, k)),
+                            True) for k in (1, 0)][::-1]
+    bounds = [_tail_bound(t, k, frame[1]) for (_, t, _), k, frame in zip(views, counts, frames)]
 
     vals = np.zeros(b_reps)
-    block = _block_size(n, r1, r2, y1.shape[1], y2.shape[1], bound1, bound2)
+    block = _block_size(n, *ranks, *widths, *bounds)
     for start in range(0, b_reps, block):
         rngs = [derive_rng(cfg.seed, STREAM_REPLICATE, b)
                 for b in range(start, min(start + block, b_reps))]
-        u1b, u2b = _haar_pair_rng(n, r1, r2, rngs)
+        u = list(_haar_pair_rng(n, *ranks, rngs))
         if cfg.variant == "rotational":
-            u2b = rotate_align(u1b, u2b, sigma_m)
-        v1b = _row_basis_rng(y1.shape[1], n, r1, rngs)
-        v2b = _row_basis_rng(y2.shape[1], n, r2, rngs)
-        u1b_hat = truncate(_replicates(u1b * s1, v1b, frame1), r1, bound1).basis
-        u2b_hat = truncate(_replicates(u2b * s2, v2b, frame2), r2, bound2).basis
-        eps1 = epsilon_pair(u1b[..., :k1], u2b[..., :k2], u1b_hat, u2b_hat)[0]
+            u[1] = rotate_align(u[0], u[1], sigma_m)
+        # One view at a time: its row basis and scaled signal die before the
+        # next view's row basis is drawn from the same generators.
+        u_hat = [truncate(_replicates(ub * s, _row_basis_rng(p, n, r, rngs), frame), r, bound).basis
+                 for ub, s, p, r, frame, bound in zip(u, strengths, widths, ranks, frames, bounds)]
+        eps1 = epsilon_pair(u[0][..., :counts[0]], u[1][..., :counts[1]], *u_hat)[0]
         vals[start:start + len(rngs)] = np.minimum(eps1, 1.0)
         # Free the block before the next one is drawn, or two blocks are live.
-        del u1b, u2b, v1b, v2b, u1b_hat, u2b_hat
+        del u, u_hat
 
     return EpsilonEstimate(epsilon1_hat=float(vals.mean()), per_replicate=vals,
                            variant=cfg.variant)

@@ -190,13 +190,14 @@ def _cmd_noise_spectrum(args) -> int:
     if args.n is not None or args.r1 is not None or args.r2 is not None:
         if None in (args.n, args.r1, args.r2):
             raise InvalidInput("--n, --r1 and --r2 must be given together")
+        if args.q1 is not None or args.q2 is not None:
+            raise InvalidInput("pass --q1/--q2 or --n/--r1/--r2, not both (sampling takes q = r/n)")
         squared = sample_noise_spectrum(args.n, args.r1, args.r2, args.seed)
         empirical = {
             "n": args.n, "r1": args.r1, "r2": args.r2, "seed": args.seed,
             "squared_singular_values": [float(v) for v in squared],
         }
-        q1 = args.q1 if args.q1 is not None else args.r1 / args.n
-        q2 = args.q2 if args.q2 is not None else args.r2 / args.n
+        q1, q2 = args.r1 / args.n, args.r2 / args.n
     else:
         if args.q1 is None or args.q2 is None:
             raise InvalidInput("pass --q1/--q2 or --n/--r1/--r2")

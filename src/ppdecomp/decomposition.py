@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from ._rng import STREAM_PAIR, derive_seed
-from .bootstrap import BootstrapConfig, estimate_epsilon1
+from .bootstrap import BootstrapConfig, canonical_order, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
 from .linalg import as_matrix, principal_spectrum, reduced_coords
 from .noise import NoiseSpectrumLaw, noise_law, singular_value_threshold
@@ -59,7 +59,7 @@ class DecompositionResult:
 
     ``spectrum`` and ``epsilon1_hat`` describe the pair of views named by
     ``binding_pair``: with two views that is (0, 1); with more it is the first
-    pair attaining the minimum pairwise joint rank.
+    pair in canonical view order attaining the minimum pairwise joint rank.
     """
 
     joint: np.ndarray
@@ -160,9 +160,11 @@ def decompose_multiview(views, ranks=None,
 
     The joint rank is the minimum over all view pairs of the two-view joint
     rank; the reported spectrum, thresholds, and epsilon1_hat belong to the
-    first pair attaining that minimum. With K = 2 this coincides with
-    :func:`decompose`. The joint basis comes from the average of the
-    projection product over all K! orderings, so K >= 6 views are refused.
+    first pair attaining that minimum. Pairs run and are seeded in the
+    views' ``canonical_order``, so the result does not depend on the order
+    of ``views``. With K = 2 this coincides with :func:`decompose`. The joint
+    basis averages the projection product over all K! orderings, so K >= 6
+    views are refused.
     """
     views = [as_matrix(y, f"view {k + 1}") for k, y in enumerate(views)]
     k_views = len(views)
@@ -185,9 +187,11 @@ def decompose_multiview(views, ranks=None,
     truncs = [truncate(spec, r) for spec, r in zip(spectra, marginal_ranks)]
     del spectra   # a tall view's directions are n x p
 
+    order = canonical_order(views, truncs)   # pairs run and seed in it; i < j are caller indices
     best = None  # (joint rank, pair index, spectrum, epsilon estimate)
-    for i, j in combinations(range(k_views), 2):
-        cfg_pair = replace(bootstrap, seed=derive_seed(bootstrap.seed, STREAM_PAIR, i, j))
+    for a, b in combinations(range(k_views), 2):
+        i, j = sorted((order[a], order[b]))
+        cfg_pair = replace(bootstrap, seed=derive_seed(bootstrap.seed, STREAM_PAIR, a, b))
         est = estimate_epsilon1(views[i], views[j], truncs[i], truncs[j],
                                 sigma_hats[i], sigma_hats[j], cfg_pair)
         law = noise_law(marginal_ranks[i] / n, marginal_ranks[j] / n)

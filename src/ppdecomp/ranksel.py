@@ -25,6 +25,9 @@ from .linalg import as_matrix, mt, sign_fixed_qr
 from .noise import edge_quadrature
 
 MP_NODES = 400
+# Numerical-rank floor, relative to s_1: on noise-free data the median is 0,
+# and the threshold with it, so round-off singular values must not count.
+RANK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,7 @@ def select_rank(y) -> RankSelection:
     mp_sv = mp_median_sv(n, p)
     y_med = float(np.median(s))
     threshold = gd_coefficient(beta) * y_med
-    # Numerical-rank floor: on noise-free data the median is 0 and the
-    # threshold with it; round-off singular values must not count.
-    rank = int(np.count_nonzero(s > max(threshold, 1e-12 * s[0])))
+    rank = int(np.count_nonzero(s > max(threshold, RANK_FLOOR * s[0])))
     return RankSelection(rank=rank, threshold=threshold, sigma_hat=y_med / mp_sv,
                          beta=beta, mp_median=mp_sv)
 

@@ -49,6 +49,10 @@ class SimConfig:
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(self, "individual_ranks",
                            tuple(int(r) for r in self.individual_ranks))
+        sv_range = tuple(float(v) for v in self.sv_range)
+        if len(sv_range) != 2 or not 0.0 < sv_range[0] <= sv_range[1] < math.inf:
+            raise InvalidInput(f"sv_range must be lo, hi with 0 < lo <= hi < inf, got {sv_range}")
+        object.__setattr__(self, "sv_range", sv_range)
         k = len(self.dims)
         if k < 2:
             raise InvalidInput("need at least two views")

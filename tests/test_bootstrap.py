@@ -9,9 +9,9 @@ from ppdecomp import (BootstrapConfig, BootstrapInfeasible, InvalidInput,
                       generate, haar_basis, misspecify_ranks, principal_spectrum,
                       rotate_align, select_rank, Truncation, truncate)
 import ppdecomp.bootstrap
-from ppdecomp.bootstrap import (SignalPlusNoise, _block_size, _canonical_order,
-                                _factored_gram, _haar_pair_rng, _noise_replicate_rng,
-                                _replicates, _row_basis_rng, _tail_bound)
+from ppdecomp.bootstrap import (SignalPlusNoise, _block_size, _factored_gram,
+                                _haar_pair_rng, _noise_replicate_rng, _replicates,
+                                _row_basis_rng, _tail_bound, canonical_order)
 from ppdecomp.linalg import mt
 from ppdecomp.ranksel import view_spectrum
 from conftest import count_filtered, prepared_views, projector, qr_basis
@@ -621,10 +621,10 @@ def test_canonical_order_hashes_only_on_a_tie(monkeypatch):
     digests = []
     monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or sha256(data))
     views, truncs, sigmas, _ = _five_factor_inputs(seed=4, snr=2.0)
-    _canonical_order(views[0], truncs[0], sigmas[0], views[1], truncs[1], sigmas[1])
+    canonical_order(views[:2], truncs[:2])
     assert digests == []
     y, r = views[0], truncs[0].basis.shape[1]
-    _canonical_order(y, truncs[0], sigmas[0], 2.0 * y, truncate(2.0 * y, r), 2.0 * sigmas[0])
+    canonical_order([y, 2.0 * y], [truncs[0], truncate(2.0 * y, r)])
     assert len(digests) >= 1
 
 
@@ -707,3 +707,24 @@ def test_epsilon1_infeasible_ranks():
     t1, t2 = truncate(y1, 6), truncate(y2, 6)
     with pytest.raises(BootstrapInfeasible):
         estimate_epsilon1(y1, y2, t1, t2, 0.1, 0.1, BootstrapConfig(replicates=2, seed=0))
+
+
+def test_epsilon1_rejects_views_with_different_row_counts():
+    rng = np.random.default_rng(8)
+    y1 = rng.standard_normal((10, 20))
+    y2 = rng.standard_normal((11, 25))
+    with pytest.raises(InvalidInput, match="row dimension"):
+        estimate_epsilon1(y1, y2, truncate(y1, 2), truncate(y2, 2), 0.1, 0.1,
+                          BootstrapConfig(replicates=2, seed=0))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_epsilon1_rejects_a_negative_noise_level(which):
+    # Either view's noise level is checked where its noise is imputed.
+    views, truncs, sigmas, _ = _five_factor_inputs(seed=3, snr=2.0)
+    sigmas = list(sigmas)
+    sigmas[which] = -sigmas[which]
+    with pytest.raises(InvalidInput, match="sigma_hat") as excinfo:
+        estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
+                          BootstrapConfig(replicates=2, seed=0))
+    assert excinfo.traceback[-1].name == "_noise_replicate_rng"

@@ -573,6 +573,14 @@ HOSTILE = {
         t, SIM_CONFIG.replace("bootstrap_reps = 8", "bootstrap_reps = 0")),
     "simulate-negative-seed": lambda t: _sim_config(t, SIM_CONFIG.replace("seed = 3",
                                                                           "seed = -3")),
+    "simulate-sv-range-three-values": lambda t: _sim_config(t, SIM_CONFIG + "sv_range = 1,2,3\n"),
+    "simulate-sv-range-one-value": lambda t: _sim_config(t, SIM_CONFIG + "sv_range = 1\n"),
+    "simulate-sv-range-reversed": lambda t: _sim_config(t, SIM_CONFIG + "sv_range = 2,1\n"),
+    "simulate-sv-range-nan": lambda t: _sim_config(t, SIM_CONFIG + "sv_range = nan,2\n"),
+    "simulate-sv-range-zero": lambda t: _sim_config(t, SIM_CONFIG + "sv_range = 0,0\n"),
+    "noise-spectrum-both-forms": lambda t: ["noise-spectrum", "--q1", "0.2", "--q2", "0.3",
+                                            "--n", "100", "--r1", "30", "--r2", "40",
+                                            "--out", str(t / "x.json")],
 }
 
 

@@ -557,6 +557,27 @@ def test_multiview_min_pairwise_rule():
     assert subspace_distance(res.joint, shared[:, :2]) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 6])
+def test_multiview_result_independent_of_view_order(seed):
+    # Widths that do not ascend: every ordering of the views must seed the
+    # same pairs and bind the same two views, so the estimate is exact and
+    # the bases agree to round-off.
+    cfg = ppd.SimConfig(n=60, dims=(40, 50, 45), joint_rank=3, individual_ranks=(3, 3, 3),
+                        angle_deg=60.0, snr=1.0, seed=seed)
+    views, _ = ppd.generate(cfg)
+    boot = BootstrapConfig(replicates=20, seed=3)
+    base = decompose_multiview(views, bootstrap=boot)
+    for perm in permutations(range(3)):
+        res = decompose_multiview([views[k] for k in perm], bootstrap=boot)
+        assert res.marginal_ranks == tuple(base.marginal_ranks[k] for k in perm)
+        assert res.joint_rank == base.joint_rank
+        assert res.epsilon1_hat == base.epsilon1_hat
+        assert sorted(perm[k] for k in res.binding_pair) == list(base.binding_pair)
+        assert subspace_distance(res.joint, base.joint) <= 1e-10
+        for k, view in enumerate(perm):
+            assert subspace_distance(res.individuals[k], base.individuals[view]) <= 1e-10
+
+
 def test_multiview_noiseless_three_views():
     cfg = ppd.SimConfig(n=35, dims=(40, 45, 50), joint_rank=3,
                         individual_ranks=(4, 3, 3), angle_deg=90.0, snr=np.inf,

@@ -99,6 +99,8 @@ def test_generate_rejects_bad_configs():
         base_cfg(n=10)  # construction budget exceeded
     with pytest.raises(InvalidInput):
         base_cfg(rank_mode="bogus")
+    with pytest.raises(InvalidInput):
+        base_cfg(sv_range=(2.0, 1.0))
 
 
 def test_misspecify_arithmetic_and_determinism():
