@@ -70,7 +70,7 @@ import numpy as np
 
 from ._rng import STREAM_NOISE, STREAM_REPLICATE, derive_rng
 from .exceptions import BootstrapInfeasible, InvalidInput
-from .linalg import haar_basis, mt, principal_spectrum, sign_fixed_qr
+from .linalg import as_count, haar_basis, mt, principal_spectrum, sign_fixed_qr
 from .oracle import epsilon_pair
 from .ranksel import RANK_FLOOR, Truncation, view_spectrum
 
@@ -114,6 +114,7 @@ class BootstrapConfig:
     variant: str = "rotational"
 
     def __post_init__(self):
+        object.__setattr__(self, "replicates", as_count(self.replicates, "replicates"))
         if self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
         if self.variant not in VARIANTS:
@@ -155,7 +156,7 @@ def rotate_align(u1b, u2b, sigma_m) -> np.ndarray:
     sigma_m = np.asarray(sigma_m, dtype=float)
     if sigma_m.shape != (m,):
         raise InvalidInput(f"expected {m} alignment cosines, got {sigma_m.shape}")
-    if np.any(sigma_m < 0.0) or np.any(sigma_m > 1.0):
+    if not np.all((sigma_m >= 0.0) & (sigma_m <= 1.0)):
         raise InvalidInput("alignment cosines must lie in [0, 1]")
     if m > 0 and np.max(np.abs(mt(u1b) @ u2b)) > 1e-6:
         raise InvalidInput("rotate_align requires mutually orthogonal input bases")
@@ -174,8 +175,8 @@ def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
     untouched. Built as ``B (g - B^T y) + y``, so that the n x p result is
     the only n x p array it allocates.
     """
-    if sigma_hat < 0:
-        raise InvalidInput("sigma_hat must be >= 0")
+    if not 0.0 <= sigma_hat < math.inf:
+        raise InvalidInput(f"sigma_hat must be finite and >= 0, got {sigma_hat}")
     basis = trunc.basis
     coef = -(basis.T @ y)
     r = basis.shape[1]

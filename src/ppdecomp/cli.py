@@ -4,14 +4,16 @@ Subcommands: ``decompose`` (views in, result JSON and optional diagnostics
 out), ``simulate`` (benchmark grid to a CSV table), ``diagnose`` (diagnostic
 SVG/JSON from a stored result), and ``noise-spectrum`` (analytical law and
 optional empirical sample). Exit codes: 0 success, 2 usage or input error,
-3 numerical infeasibility. Every run is deterministic given its flags and
-seed on one numpy/BLAS build and BLAS thread count (the last digits of
-epsilon1_hat can differ between thread counts), and file writes are atomic.
+3 numerical infeasibility; a failure prints one ``error: <label>: <message>``
+line, label and code from ``ERRORS``. Every run is deterministic given its
+flags and seed on one numpy/BLAS build and BLAS thread count (the last digits
+of epsilon1_hat can differ between thread counts), and file writes are atomic.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,6 +30,11 @@ from .noise import (NoiseSpectrumLaw, noise_density, noise_law,
 from .simulate import SimConfig, run_benchmark
 
 DEFAULT_SEED = 42
+
+# Exception type -> (label, exit code) of main's "error: <label>: ..." line; first match wins.
+ERRORS = {DimensionMismatch: ("dimension mismatch", 2), ParseError: ("parse", 2),
+          json.JSONDecodeError: ("parse", 2), InvalidInput: ("invalid input", 2),
+          OSError: ("io", 2), BootstrapInfeasible: ("bootstrap infeasible", 3)}
 
 
 def _basis_json(basis: np.ndarray) -> dict:
@@ -75,23 +82,18 @@ def _result_json(result: DecompositionResult, seed: int, bootstrap_reps: int) ->
     return json.dumps(payload, indent=1) + "\n"
 
 
-def _parse_ranks(text: str, n_views: int):
+def _parse_ranks(text: str):
     if text == "auto":
         return None
     try:
-        ranks = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InvalidInput(f"--ranks must be 'auto' or comma-separated integers, got {text!r}") from None
-    if len(ranks) != n_views:
-        raise InvalidInput(f"--ranks lists {len(ranks)} values for {n_views} views")
-    return ranks
 
 
 def _cmd_decompose(args) -> int:
-    if len(args.view) < 2:
-        raise InvalidInput("at least two --view files are required")
     views = [read_matrix_csv(p, has_header=args.has_header) for p in args.view]
-    ranks = _parse_ranks(args.ranks, len(views))
+    ranks = _parse_ranks(args.ranks)
     result = decompose_multiview(
         views, ranks=ranks,
         bootstrap=BootstrapConfig(replicates=args.bootstrap_reps, seed=args.seed))
@@ -129,29 +131,23 @@ def _parse_simulation_config(path: str) -> dict:
             raise ParseError(f"{path}: bad value for key '{key}': {value!r}",
                              line=lineno) from None
 
-    def int_list(v):
-        return tuple(int(tok) for tok in v.split(","))
-
-    def float_list(v):
-        return tuple(float(tok) for tok in v.split(","))
-
-    def str_list(v):
-        return tuple(tok.strip() for tok in v.split(","))
+    def items(convert):
+        return lambda v: tuple(convert(tok) for tok in v.split(","))
 
     cfg = {
         "n": take("n", int, required=True),
-        "dims": take("p", int_list, required=True),
+        "dims": take("p", items(int), required=True),
         "joint_rank": take("joint_rank", int, required=True),
-        "individual_ranks": take("individual_ranks", int_list, required=True),
-        "angles": take("angles", float_list, required=True),
-        "snrs": take("snrs", float_list, required=True),
-        "rank_modes": take("rank_modes", str_list, required=True),
+        "individual_ranks": take("individual_ranks", items(int), required=True),
+        "angles": take("angles", items(float), required=True),
+        "snrs": take("snrs", items(float), required=True),
+        "rank_modes": take("rank_modes", items(str.strip), required=True),
         "reps": take("reps", int, required=True),
         "seed": take("seed", int, default=DEFAULT_SEED),
         "bootstrap_reps": take("bootstrap_reps",
                                lambda v: BootstrapConfig(replicates=int(v)).replicates,
                                default=100),
-        "sv_range": take("sv_range", float_list, default=(1.0, 2.0)),
+        "sv_range": take("sv_range", items(float), default=(1.0, 2.0)),
     }
     if raw:
         key = sorted(raw)[0]
@@ -203,13 +199,8 @@ def _cmd_noise_spectrum(args) -> int:
             raise InvalidInput("pass --q1/--q2 or --n/--r1/--r2")
         q1, q2 = args.q1, args.q2
     law = noise_law(q1, q2)
-    payload = {
-        "q1": law.q1, "q2": law.q2,
-        "lambda_minus": law.lambda_minus, "lambda_plus": law.lambda_plus,
-        "mass_at_zero": law.mass_at_zero, "mass_at_one": law.mass_at_one,
-        "sv_threshold": singular_value_threshold(law),
-        "density": _density_samples(law),
-    }
+    payload = {**dataclasses.asdict(law), "sv_threshold": singular_value_threshold(law),
+               "density": _density_samples(law)}
     if empirical is not None:
         payload["empirical"] = empirical
     atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
@@ -256,10 +247,10 @@ def _load_result_json(path: str) -> DecompositionResult:
         raise InvalidInput(f"{path}: spectrum values and thresholds must be finite "
                            f"and lie in [0, 1]")
     pair = result.binding_pair
-    if len(pair) != 2 or not all(type(i) is int and 0 <= i < len(result.marginal_ranks)
-                                 for i in pair):
-        raise InvalidInput(f"{path}: binding_pair {list(pair)} does not name two of "
-                           f"{len(result.marginal_ranks)} views")
+    if len(pair) != 2 or pair[0] == pair[1] or not all(
+            type(i) is int and 0 <= i < len(result.marginal_ranks) for i in pair):
+        raise InvalidInput(f"{path}: binding_pair {list(pair)} does not name two distinct "
+                           f"views of {len(result.marginal_ranks)}")
     return result
 
 
@@ -343,25 +334,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimensionMismatch as exc:
-        print(f"error: dimension mismatch: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: parse: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return 2
-    except InvalidInput as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 2
-    except BootstrapInfeasible as exc:
-        print(f"error: bootstrap infeasible: {exc}", file=sys.stderr)
-        return 3
+    except tuple(ERRORS) as exc:
+        label, code = next(row for exc_type, row in ERRORS.items() if isinstance(exc, exc_type))
+        message = (f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+                   if isinstance(exc, json.JSONDecodeError) else exc)
+        print(f"error: {label}: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

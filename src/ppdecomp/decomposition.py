@@ -33,7 +33,7 @@ import numpy as np
 from ._rng import STREAM_PAIR, derive_seed
 from .bootstrap import BootstrapConfig, canonical_order, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
-from .linalg import as_matrix, principal_spectrum, reduced_coords
+from .linalg import as_count, as_matrix, principal_spectrum, reduced_coords
 from .noise import NoiseSpectrumLaw, noise_law, singular_value_threshold
 from .ranksel import select_rank, truncate, view_spectrum
 
@@ -78,8 +78,8 @@ def product_spectrum(u1_hat, u2_hat, eps1_hat: float, law: NoiseSpectrumLaw) -> 
 
     The noise threshold is :func:`ppdecomp.noise.singular_value_threshold` of ``law``.
     """
-    if eps1_hat < 0.0:
-        raise InvalidInput("eps1_hat must be >= 0")
+    if not eps1_hat >= 0.0:
+        raise InvalidInput(f"eps1_hat must be >= 0, got {eps1_hat}")
     values = principal_spectrum(u1_hat, u2_hat)
     bootstrap_threshold = min(max(1.0 - eps1_hat, 0.0), BOOTSTRAP_THRESHOLD_CAP)
     return ProductSpectrum(values=values,
@@ -143,9 +143,11 @@ def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
 
 
 def _resolve_ranks(selections, views, ranks):
-    if ranks is None or ranks == "auto":
+    if isinstance(ranks, str) and ranks != "auto":
+        raise InvalidInput(f"ranks must be None, 'auto' or one integer per view, got {ranks!r}")
+    if ranks is None or isinstance(ranks, str):
         return tuple(sel.rank for sel in selections)
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(as_count(r, "rank") for r in ranks)
     if len(ranks) != len(views):
         raise InvalidInput(f"expected {len(views)} ranks, got {len(ranks)}")
     for k, (r, y) in enumerate(zip(ranks, views)):

@@ -32,6 +32,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_count(value, name: str) -> int:
+    """``value`` as an int, raising InvalidInput unless it is an integral number."""
+    try:
+        if value == int(value):   # a string never equals an int
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 def orthonormalize(a) -> np.ndarray:
     """Orthonormal basis of col(a); numerical rank set by ``sigma_i > RANK_TOL * sigma_1``."""
     a = as_matrix(a)
@@ -94,13 +104,8 @@ def mt(a) -> np.ndarray:
 def spectral_norm(a):
     """Largest singular value, 0 for an empty matrix; an array of them for a stack."""
     a = np.asarray(a, dtype=float)
-    if a.ndim > 2:
-        if a.size == 0:
-            return np.zeros(a.shape[:-2])
-        return np.linalg.norm(a, 2, axis=(-2, -1))
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    norm = np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    return float(norm) if a.ndim == 2 else norm
 
 
 def haar_basis(n: int, r: int, rng) -> np.ndarray:

@@ -56,6 +56,8 @@ class SimConfig:
         k = len(self.dims)
         if k < 2:
             raise InvalidInput("need at least two views")
+        if self.n < 1 or min(self.dims) < 1:
+            raise InvalidInput(f"n and every p must be >= 1, got n = {self.n}, p = {self.dims}")
         if len(self.individual_ranks) != k:
             raise InvalidInput("one individual rank per view is required")
         if self.rank_mode not in RANK_MODES:
@@ -80,10 +82,6 @@ class SimConfig:
                 raise InvalidInput(
                     f"marginal rank {self.joint_rank + r_ind} exceeds min(n, p) "
                     f"for a {self.n} x {p} view")
-
-    @property
-    def views(self) -> int:
-        return len(self.dims)
 
     @property
     def marginal_ranks(self) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,30 @@ def test_rotate_align_rejects_overlapping_bases():
     u1, _ = _haar_pair_rng(20, 3, 3, np.random.default_rng(4))
     with pytest.raises(InvalidInput):
         rotate_align(u1, u1, np.ones(3))
+
+
+def test_rotate_align_rejects_bad_cosines():
+    u1, u2 = _haar_pair_rng(20, 3, 4, np.random.default_rng(5))
+    with pytest.raises(InvalidInput, match="expected 3 alignment cosines"):
+        rotate_align(u1, u2, np.ones(4))
+    # A NaN cosine is out of range like any other, on orthogonal bases and
+    # on overlapping ones, whose orthogonality is checked only after.
+    for sigma_m in ([0.5, 1.5, 0.2], [0.5, -0.1, 0.2], [0.5, math.nan, 0.2]):
+        for other in (u2, u1):
+            with pytest.raises(InvalidInput, match=r"\[0, 1\]"):
+                rotate_align(u1, other, sigma_m)
+
+
+def test_bootstrap_config_checks_its_fields():
+    with pytest.raises(InvalidInput, match="variant"):
+        BootstrapConfig(variant="x")
+    for bad in (2.5, "3", math.nan, None, 0):
+        with pytest.raises(InvalidInput, match="replicates"):
+            BootstrapConfig(replicates=bad)
+    # Integral values of any numeric type are counts.
+    for good in (3, 3.0, np.int64(3), np.float32(3.0)):
+        cfg = BootstrapConfig(replicates=good)
+        assert cfg.replicates == 3 and type(cfg.replicates) is int
 
 
 def test_noise_replicate_without_truncation_returns_data():
@@ -720,11 +745,15 @@ def test_epsilon1_rejects_views_with_different_row_counts():
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_epsilon1_rejects_a_negative_noise_level(which):
-    # Either view's noise level is checked where its noise is imputed.
+    # Either view's noise level is checked where its noise is imputed. NaN
+    # and infinity fail there too: a NaN level would impute no noise and
+    # zero every signal strength, and an infinite one would fill the noise
+    # with non-finite entries.
     views, truncs, sigmas, _ = _five_factor_inputs(seed=3, snr=2.0)
-    sigmas = list(sigmas)
-    sigmas[which] = -sigmas[which]
-    with pytest.raises(InvalidInput, match="sigma_hat") as excinfo:
-        estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *sigmas,
-                          BootstrapConfig(replicates=2, seed=0))
-    assert excinfo.traceback[-1].name == "_noise_replicate_rng"
+    for bad in (-sigmas[which], math.nan, math.inf):
+        levels = list(sigmas)
+        levels[which] = bad
+        with pytest.raises(InvalidInput, match="sigma_hat") as excinfo:
+            estimate_epsilon1(views[0], views[1], truncs[0], truncs[1], *levels,
+                              BootstrapConfig(replicates=2, seed=0))
+        assert excinfo.traceback[-1].name == "_noise_replicate_rng"

@@ -474,7 +474,8 @@ def test_diagnose_cmd_corrupted_result(tmp_path, capsys):
     bad.write_text('{"joint_rank": 3,,}')
     rc = main(["diagnose", "--result", str(bad), "--svg", str(tmp_path / "p.svg")])
     assert rc == 2
-    assert "line" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: parse: invalid JSON at line 1, column 18: "
+                                       "Expecting property name enclosed in double quotes\n")
 
 
 def test_diagnose_cmd_needs_an_output(tmp_path, capsys):
@@ -581,6 +582,24 @@ HOSTILE = {
     "noise-spectrum-both-forms": lambda t: ["noise-spectrum", "--q1", "0.2", "--q2", "0.3",
                                             "--n", "100", "--r1", "30", "--r2", "40",
                                             "--out", str(t / "x.json")],
+    "noise-spectrum-partial-sampling-form": lambda t: ["noise-spectrum", "--n", "40", "--r1", "5",
+                                                       "--out", str(t / "x.json")],
+    "noise-spectrum-no-form": lambda t: ["noise-spectrum", "--out", str(t / "x.json")],
+    "decompose-ranks-not-integers": lambda t: _ranked_views(t, ["--ranks", "a,3"]),
+    "decompose-ranks-count": lambda t: _ranked_views(t, ["--ranks", "3,3,3"]),
+    "decompose-missing-view": lambda t: ["decompose", "--view", str(write_noiseless_views(t)[0]),
+                                         "--view", str(t / "missing.csv"),
+                                         "--out", str(t / "r.json")],
+    "diagnose-missing-result": lambda t: ["diagnose", "--result", str(t / "missing.json"),
+                                          "--svg", str(t / "p.svg")],
+    "result-binding-pair-repeated": lambda t: _edited_result(
+        t, lambda d: d.update(binding_pair=[0, 0])),
+    "simulate-line-without-equals": lambda t: _sim_config(t, SIM_CONFIG + "reps 2\n"),
+    "simulate-missing-key": lambda t: _sim_config(t, SIM_CONFIG.replace("snrs = 8\n", "")),
+    "simulate-zero-n": lambda t: _sim_config(t, SIM_CONFIG.replace("n = 24", "n = 0").replace(
+        "joint_rank = 2\nindividual_ranks = 2,2", "joint_rank = 0\nindividual_ranks = 0,0")),
+    "simulate-zero-p": lambda t: _sim_config(t, SIM_CONFIG.replace("p = 30,34", "p = 30,0").replace(
+        "joint_rank = 2\nindividual_ranks = 2,2", "joint_rank = 0\nindividual_ranks = 0,0")),
 }
 
 
@@ -591,6 +610,30 @@ def test_cli_hostile_input_exit_code(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["decompose-missing-view", "diagnose-missing-result"])
+def test_cli_missing_file_is_an_io_error(tmp_path, capsys, case):
+    argv = HOSTILE[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: io: ")
+
+
+def test_simulate_cmd_warns_once_per_failed_rep(tmp_path, capsys):
+    # Ranks 6 + 6 cannot be embedded orthogonally in n = 10: every rep is
+    # infeasible, each is reported, and the table still gets written.
+    argv = _sim_config(tmp_path, "n = 10\np = 20,20\njoint_rank = 4\nindividual_ranks = 2,2\n"
+                                 "angles = 90\nsnrs = 8\nrank_modes = true\nreps = 3\n"
+                                 "bootstrap_reps = 4\n")
+    capsys.readouterr()
+    assert main(argv) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 3
+    assert all(w.startswith("warning: cell (90.0, 8.0, true): rep ") and "cannot embed" in w
+               for w in warnings)
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[6] == "0"
 
 
 def test_decompose_cmd_end_to_end_monte_carlo(tmp_path):

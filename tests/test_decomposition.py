@@ -102,6 +102,14 @@ def test_product_spectrum_orthogonal_views():
     assert spec.bootstrap_threshold < 1.0  # capped just below one
 
 
+@pytest.mark.parametrize("eps1_hat", [-0.1, math.nan])
+def test_product_spectrum_rejects_a_bad_epsilon(eps1_hat):
+    # A NaN would make a NaN bootstrap cut, which joint_rank's max() drops.
+    u = qr_basis(10, 3, np.random.default_rng(0))
+    with pytest.raises(InvalidInput, match="eps1_hat"):
+        product_spectrum(u, u, eps1_hat, ppd.noise_law(0.3, 0.3))
+
+
 def test_joint_rank_counts_strictly_above_both_thresholds():
     spec = ProductSpectrum(values=np.array([1.0, 1.0, 0.6, 0.1]),
                            bootstrap_threshold=0.7, noise_threshold=0.8)
@@ -129,6 +137,16 @@ def test_joint_basis_rejects_excessive_rank():
     u = qr_basis(15, 4, np.random.default_rng(4))
     with pytest.raises(InvalidInput):
         joint_basis([u, u], 5)
+
+
+def test_joint_and_individual_bases_reject_bad_inputs():
+    u = qr_basis(15, 4, np.random.default_rng(4))
+    with pytest.raises(InvalidInput, match="r_joint must be >= 0"):
+        joint_basis([u, u], -1)
+    with pytest.raises(DimensionMismatch):
+        joint_basis([u, qr_basis(16, 4, np.random.default_rng(5))], 1)
+    with pytest.raises(InvalidInput, match="exceeds the marginal rank"):
+        individual_basis(u, u[:, :1], 4, 5)
 
 
 def test_joint_basis_recovers_planted_joint_noiseless():
@@ -641,6 +659,27 @@ def test_multiview_permutation_guard_for_many_views():
 def test_multiview_needs_two_views():
     with pytest.raises(InvalidInput):
         decompose_multiview([np.ones((5, 3))])
+
+
+def test_multiview_needs_one_rank_per_view():
+    rng = np.random.default_rng(23)
+    views = [rng.standard_normal((10, 20)), rng.standard_normal((10, 22))]
+    with pytest.raises(InvalidInput, match="expected 2 ranks, got 3"):
+        decompose_multiview(views, ranks=(2, 2, 2), bootstrap=LIGHT_BOOT)
+
+
+def test_multiview_ranks_must_be_integers():
+    rng = np.random.default_rng(23)
+    views = [rng.standard_normal((10, 20)), rng.standard_normal((10, 22))]
+    for ranks in ((2.7, 3), (2, math.nan), (2, "3"), "3,3", "2"):
+        with pytest.raises(InvalidInput, match="rank"):
+            decompose_multiview(views, ranks=ranks, bootstrap=LIGHT_BOOT)
+    # Integral values of any numeric type, numpy arrays included, are ranks.
+    base = decompose_multiview(views, ranks=(2, 3), bootstrap=LIGHT_BOOT)
+    for ranks in ((2.0, 3), np.array([2, 3]), (np.int32(2), np.float64(3.0))):
+        res = decompose_multiview(views, ranks=ranks, bootstrap=LIGHT_BOOT)
+        assert res.marginal_ranks == (2, 3)
+        assert res.epsilon1_hat == base.epsilon1_hat
 
 
 def test_joint_rank_recovered_at_high_snr_monte_carlo():

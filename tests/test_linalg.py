@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppdecomp import (DimensionMismatch, InvalidInput, haar_basis, orthonormalize,
-                      principal_spectrum, subspace_distance)
+                      principal_spectrum, spectral_norm, subspace_distance)
 from conftest import angled_pair, qr_basis
 
 
@@ -97,6 +97,28 @@ def test_principal_spectrum_dimension_mismatch():
         principal_spectrum(np.eye(4), np.eye(5))
 
 
+def test_principal_spectrum_rejects_a_vector():
+    with pytest.raises(InvalidInput, match="2-D"):
+        principal_spectrum(np.ones(4), np.eye(4))
+
+
+def test_subspace_distance_between_rank_zero_bases_is_zero():
+    assert subspace_distance(np.zeros((6, 0)), np.zeros((6, 0))) == 0.0
+
+
+def test_spectral_norm_of_matrices_stacks_and_empty_inputs():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 7, 5))
+    norms = spectral_norm(a)
+    assert norms.shape == (3,)
+    for item, norm in zip(a, norms):
+        value = spectral_norm(item)
+        assert type(value) is float
+        assert value == norm == np.linalg.svd(item, compute_uv=False)[0]
+    assert spectral_norm(np.zeros((4, 0))) == 0.0 and type(spectral_norm(np.zeros((0, 3)))) is float
+    assert np.array_equal(spectral_norm(np.zeros((2, 3, 0, 4))), np.zeros((2, 3)))
+
+
 def test_subspace_distance_identical():
     u = qr_basis(9, 3, np.random.default_rng(9))
     assert subspace_distance(u, u) == pytest.approx(0.0, abs=1e-10)
@@ -110,6 +132,11 @@ def test_subspace_distance_planted_angle():
 def test_subspace_distance_rank_mismatch_is_one():
     q = qr_basis(10, 5, np.random.default_rng(11))
     assert subspace_distance(q[:, :2], q[:, :3]) == 1.0
+
+
+def test_haar_basis_rejects_a_rank_above_the_dimension():
+    with pytest.raises(InvalidInput, match="exceeds ambient dimension"):
+        haar_basis(5, 6, np.random.default_rng(0))
 
 
 HAAR_SHAPES = pytest.mark.parametrize("n,r", [(300, 20), (167, 32), (50, 25), (50, 26),

@@ -97,6 +97,12 @@ def test_noise_cdf_normalization():
     assert noise_cdf(law, law.lambda_plus) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_noise_cdf_is_zero_below_the_support():
+    law = noise_law(0.25, 0.4)
+    assert law.lambda_minus > 0.0
+    assert noise_cdf(law, 0.5 * law.lambda_minus) == 0.0
+
+
 def test_sv_threshold_values():
     assert singular_value_threshold(noise_law(0.5, 0.5)) == pytest.approx(1.0, abs=1e-12)
     assert singular_value_threshold(noise_law(0.0, 0.3)) == 0.0

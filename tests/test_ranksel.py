@@ -92,6 +92,22 @@ def test_estimate_noise_sigma_rejects_empty():
         select_rank(np.zeros((0, 5)))
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.5, 1.5, math.nan])
+def test_mp_median_rejects_beta_outside_the_unit_interval(beta):
+    with pytest.raises(InvalidInput, match="beta"):
+        marchenko_pastur_median(beta)
+
+
+def test_mp_median_sv_rejects_an_empty_shape():
+    with pytest.raises(InvalidInput, match=">= 1"):
+        mp_median_sv(0, 5)
+
+
+def test_select_rank_rejects_a_vector():
+    with pytest.raises(InvalidInput, match="2-D"):
+        select_rank(np.ones(5))
+
+
 def test_gd_coefficient_at_beta_one():
     assert gd_coefficient(1.0) == pytest.approx(2.86, abs=1e-12)
 

@@ -101,6 +101,21 @@ def test_generate_rejects_bad_configs():
         base_cfg(rank_mode="bogus")
     with pytest.raises(InvalidInput):
         base_cfg(sv_range=(2.0, 1.0))
+    with pytest.raises(InvalidInput, match="two views"):
+        base_cfg(dims=(80,), individual_ranks=(5,))
+    with pytest.raises(InvalidInput, match="one individual rank per view"):
+        base_cfg(individual_ranks=(5, 4, 3))
+    with pytest.raises(InvalidInput, match="ranks must be >= 0"):
+        base_cfg(joint_rank=-1)
+    with pytest.raises(InvalidInput, match="ranks must be >= 0"):
+        base_cfg(individual_ranks=(5, -1))
+    with pytest.raises(InvalidInput, match="exceeds min"):
+        base_cfg(dims=(80, 7))
+    # Empty views: every rep would fail in the decomposition.
+    with pytest.raises(InvalidInput, match="must be >= 1"):
+        base_cfg(n=0, joint_rank=0, individual_ranks=(0, 0))
+    with pytest.raises(InvalidInput, match="must be >= 1"):
+        base_cfg(dims=(80, 0), joint_rank=0, individual_ranks=(0, 0))
 
 
 def test_misspecify_arithmetic_and_determinism():
@@ -199,6 +214,11 @@ def test_run_benchmark_smoke_and_determinism():
         assert row.mean_f_scaled == pytest.approx(10 * row.mean_f_raw)
         assert row.mean_f_scaled == row2.mean_f_scaled
         assert row.cell_seed == row2.cell_seed
+
+
+def test_run_benchmark_needs_a_rep():
+    with pytest.raises(InvalidInput, match="reps"):
+        run_benchmark([base_cfg()], reps=0)
 
 
 def test_run_benchmark_records_failures():
