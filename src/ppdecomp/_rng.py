@@ -1,9 +1,10 @@
-"""Seed derivation helpers.
+"""Seed derivation: the package's one path from a seed to a random stream.
 
-Every randomized routine takes an explicit integer seed and derives
-sub-streams through ``numpy.random.SeedSequence`` spawn keys, so that
-serial and (externally) parallel execution consume identical streams.
-A negative seed raises ``InvalidInput``.
+Every randomized routine takes an explicit seed and derives its streams here
+through ``numpy.random.SeedSequence`` spawn keys, so that serial and
+(externally) parallel execution consume identical streams. A seed is a
+non-negative integer read by ``linalg.as_count`` (integral floats and numpy
+integers work); any other seed raises ``InvalidInput``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidInput
+from .linalg import as_count
 
 # Stream tags; fixed for reproducibility across releases.
 STREAM_NOISE = 0        # noise-replicate imputation, one child per view
@@ -20,13 +22,14 @@ STREAM_CELL = 4         # benchmark grid cells
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
-    if int(seed) < 0:
+    seed = as_count(seed, "seed")
+    if seed < 0:
         raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the sub-stream identified by ``key`` under ``seed``."""
+    """Generator for sub-stream ``key`` of ``seed``; with no key, numpy's ``default_rng(seed)``."""
     return np.random.default_rng(_seed_sequence(seed, key))
 
 

@@ -27,9 +27,8 @@ from .exceptions import (BootstrapInfeasible, DimensionMismatch, InvalidInput,
 from .matrixio import atomic_write_text, read_matrix_csv
 from .noise import (NoiseSpectrumLaw, noise_density, noise_law,
                     sample_noise_spectrum, singular_value_threshold)
-from .simulate import SimConfig, run_benchmark
-
-DEFAULT_SEED = 42
+from .linalg import as_count
+from .simulate import DEFAULT_SEED, SimConfig, run_benchmark
 
 # Exception type -> (label, exit code) of main's "error: <label>: ..." line; first match wins.
 ERRORS = {DimensionMismatch: ("dimension mismatch", 2), ParseError: ("parse", 2),
@@ -53,7 +52,7 @@ def _float_vector(values) -> np.ndarray:
 
 
 def _basis_from_json(obj: dict) -> np.ndarray:
-    n, cols = int(obj["ambient_dim"]), obj["columns"]
+    n, cols = as_count(obj["ambient_dim"], "ambient_dim"), obj["columns"]
     basis = np.asarray(cols, dtype=float).T if cols else np.zeros((n, 0))
     if basis.ndim != 2 or basis.shape[0] != n or not np.all(np.isfinite(basis)):
         raise ValueError(f"basis columns must hold {n} finite numbers each")
@@ -111,8 +110,8 @@ def _parse_simulation_config(path: str) -> dict:
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = line.partition("#")[0].strip()   # '#' starts a comment anywhere
+            if not stripped:
                 continue
             if "=" not in stripped:
                 raise ParseError(f"{path}: line {lineno} is not 'key = value'", line=lineno)
@@ -146,7 +145,7 @@ def _parse_simulation_config(path: str) -> dict:
         "seed": take("seed", int, default=DEFAULT_SEED),
         "bootstrap_reps": take("bootstrap_reps",
                                lambda v: BootstrapConfig(replicates=int(v)).replicates,
-                               default=100),
+                               default=BootstrapConfig.replicates),
         "sv_range": take("sv_range", items(float), default=(1.0, 2.0)),
     }
     if raw:
@@ -218,7 +217,7 @@ def _load_result_json(path: str) -> DecompositionResult:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        n = int(payload["n"])
+        n = as_count(payload["n"], "n")
         spectrum = ProductSpectrum(
             values=_float_vector(payload["spectrum"]["values"]),
             bootstrap_threshold=float(payload["spectrum"]["bootstrap_threshold"]),
@@ -229,15 +228,15 @@ def _load_result_json(path: str) -> DecompositionResult:
         result = DecompositionResult(
             joint=joint,
             individuals=individuals,
-            marginal_ranks=tuple(int(r) for r in payload["marginal_ranks"]),
-            joint_rank=int(payload["joint_rank"]),
+            marginal_ranks=tuple(as_count(r, "marginal rank") for r in payload["marginal_ranks"]),
+            joint_rank=as_count(payload["joint_rank"], "joint_rank"),
             spectrum=spectrum,
             epsilon1_hat=float(payload["epsilon1_hat"]),
             sigma_hats=tuple(float(s) for s in payload["sigma_hats"]),
             view_bases=[],
             binding_pair=tuple(payload.get("binding_pair", (0, 1))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: not a decomposition result file ({exc})") from None
     if n < 1 or any(b.shape[0] != n for b in [joint, *individuals]):
         raise InvalidInput(f"{path}: n = {n} must be >= 1 and equal every basis's ambient_dim")
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="view CSV path (repeat; at least two)")
     p_dec.add_argument("--ranks", default="auto",
                        help="'auto' or comma-separated marginal ranks, one per view")
-    p_dec.add_argument("--bootstrap-reps", type=int, default=100)
+    p_dec.add_argument("--bootstrap-reps", type=int, default=BootstrapConfig.replicates)
     p_dec.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_dec.add_argument("--has-header", action="store_true",
                        help="views carry a single header row")

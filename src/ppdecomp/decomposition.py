@@ -143,10 +143,10 @@ def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
 
 
 def _resolve_ranks(selections, views, ranks):
-    if isinstance(ranks, str) and ranks != "auto":
-        raise InvalidInput(f"ranks must be None, 'auto' or one integer per view, got {ranks!r}")
-    if ranks is None or isinstance(ranks, str):
+    if ranks is None:
         return tuple(sel.rank for sel in selections)
+    if isinstance(ranks, str):
+        raise InvalidInput(f"ranks must be None or one integer per view, got {ranks!r}")
     ranks = tuple(as_count(r, "rank") for r in ranks)
     if len(ranks) != len(views):
         raise InvalidInput(f"expected {len(views)} ranks, got {len(ranks)}")
@@ -160,13 +160,14 @@ def decompose_multiview(views, ranks=None,
                         bootstrap: BootstrapConfig | None = None) -> DecompositionResult:
     """Decomposition of K >= 2 views sharing their rows.
 
-    The joint rank is the minimum over all view pairs of the two-view joint
-    rank; the reported spectrum, thresholds, and epsilon1_hat belong to the
-    first pair attaining that minimum. Pairs run and are seeded in the
-    views' ``canonical_order``, so the result does not depend on the order
-    of ``views``. With K = 2 this coincides with :func:`decompose`. The joint
-    basis averages the projection product over all K! orderings, so K >= 6
-    views are refused.
+    ``ranks`` is ``None`` (each view's rank by ``select_rank``) or one
+    integer per view. The joint rank is the minimum over all view pairs of
+    the two-view joint rank; the reported spectrum, thresholds, and
+    epsilon1_hat belong to the first pair attaining that minimum. Pairs run
+    and are seeded in the views' ``canonical_order``, so the result does not
+    depend on the order of ``views``. With K = 2 this coincides with
+    :func:`decompose`. The joint basis averages the projection product over
+    all K! orderings, so K >= 6 views are refused.
     """
     views = [as_matrix(y, f"view {k + 1}") for k, y in enumerate(views)]
     k_views = len(views)
@@ -220,7 +221,7 @@ def decompose_multiview(views, ranks=None,
 
 
 def decompose(y1, y2, ranks=None, bootstrap: BootstrapConfig | None = None) -> DecompositionResult:
-    """Two-view decomposition; ``ranks`` is ``None``/"auto" or an explicit pair.
+    """Two-view decomposition; ``ranks`` is ``None`` (automatic) or an explicit pair.
 
     The result is invariant (up to the basis representation of the subspaces)
     to swapping the two views.

@@ -91,8 +91,8 @@ def subspace_distance(u1, u2) -> float:
         return 1.0
     if u1.shape[1] == 0:
         return 0.0
-    r12 = np.linalg.svd(u2 - u1 @ (u1.T @ u2), compute_uv=False)[0]
-    r21 = np.linalg.svd(u1 - u2 @ (u2.T @ u1), compute_uv=False)[0]
+    r12 = spectral_norm(u2 - u1 @ (u1.T @ u2))
+    r21 = spectral_norm(u1 - u2 @ (u2.T @ u1))
     return float(min(max(r12, r21), 1.0))
 
 
@@ -155,9 +155,6 @@ def reduced_coords(*bases: np.ndarray):
     for b in bases:
         if b.shape[0] != n:
             raise DimensionMismatch("bases must share the ambient dimension")
-    stacked = np.hstack(bases) if bases else np.zeros((n, 0))
-    if stacked.shape[1] == 0:
-        w = np.zeros((n, 0))
-    else:
-        w = orthonormalize(stacked)
+    stacked = np.hstack(bases)
+    w = orthonormalize(stacked) if stacked.shape[1] else np.zeros((n, 0))
     return w, [w.T @ b for b in bases]

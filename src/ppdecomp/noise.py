@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import haar_basis, principal_spectrum
+from .linalg import as_count, haar_basis, principal_spectrum
 from ._rng import derive_rng
 
-NOISE_CDF_NODES = 200
+QUADRATURE_NODES = 400   # of every edge quadrature: noise_cdf and the Marchenko-Pastur median
 
 
 @dataclass(frozen=True)
@@ -61,23 +61,23 @@ def noise_law(q1: float, q2: float) -> NoiseSpectrumLaw:
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre(nodes: int):
+def _legendre():
     """Gauss-Legendre nodes and weights, read-only because every caller shares them."""
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(nodes)
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     t_nodes.flags.writeable = t_weights.flags.writeable = False
     return t_nodes, t_weights
 
 
-def edge_quadrature(a: float, b: float, x: float, denom, nodes: int) -> float:
+def edge_quadrature(a: float, b: float, x: float, denom) -> float:
     """Integral of sqrt((b - t)(t - a)) / denom(t) over t in [a, x], for a < x <= b.
 
     The substitution t = a + (b - a)(1 - cos u) / 2 turns the square root into
     half^2 sin(u)^2 with half = (b - a) / 2, which removes the endpoint
     behaviour (and a 1/t pole at a = 0); the integral over u is then taken by
-    fixed ``nodes``-point Gauss-Legendre quadrature.
+    ``QUADRATURE_NODES``-point Gauss-Legendre quadrature.
     """
     half = 0.5 * (b - a)
-    t_nodes, t_weights = _legendre(nodes)
+    t_nodes, t_weights = _legendre()
     t_up = np.arccos(np.clip(1.0 - (x - a) / half, -1.0, 1.0))
     t = 0.5 * t_up * (t_nodes + 1.0)
     w = 0.5 * t_up * t_weights
@@ -110,20 +110,13 @@ def noise_cdf(law: NoiseSpectrumLaw, lam: float) -> float:
 
     The continuous density is integrated from the lower edge up to ``lam``
     and divided by the continuous mass (for KS comparisons against sampled
-    spectra). Computed by :func:`edge_quadrature` with ``NOISE_CDF_NODES``
-    nodes.
+    spectra). Computed by :func:`edge_quadrature`.
     """
     a, b = law.lambda_minus, law.lambda_plus
     mass = continuous_mass(law)
-    if b - a <= 0.0 or mass <= 0.0:
+    if b - a <= 0.0 or mass <= 0.0 or lam <= a:
         return 0.0
-    if lam <= a:
-        return 0.0
-    if lam >= b:
-        lam = b
-    total = edge_quadrature(a, b, lam, lambda xt: 2.0 * np.pi * xt * (1.0 - xt),
-                            NOISE_CDF_NODES)
-    return total / mass
+    return edge_quadrature(a, b, min(lam, b), lambda xt: 2.0 * np.pi * xt * (1.0 - xt)) / mass
 
 
 def singular_value_threshold(law: NoiseSpectrumLaw) -> float:
@@ -145,6 +138,7 @@ def density_sv_scale(law: NoiseSpectrumLaw, s) -> np.ndarray:
 
 def sample_noise_spectrum(n: int, r1: int, r2: int, seed: int) -> np.ndarray:
     """Squared singular values of U1.T @ U2 for independent Haar bases, descending."""
+    n, r1, r2 = as_count(n, "n"), as_count(r1, "r1"), as_count(r2, "r2")
     if n < 1 or not (0 <= r1 <= n and 0 <= r2 <= n):
         raise InvalidInput(f"need n >= 1 and ranks in [0, n]; got n = {n}, ranks ({r1}, {r2})")
     rng = derive_rng(seed)

@@ -24,7 +24,6 @@ from .exceptions import InvalidInput
 from .linalg import as_matrix, mt, sign_fixed_qr
 from .noise import edge_quadrature
 
-MP_NODES = 400
 # Numerical-rank floor, relative to s_1: on noise-free data the median is 0,
 # and the threshold with it, so round-off singular values must not count.
 RANK_FLOOR = 1e-12
@@ -47,13 +46,13 @@ def gd_coefficient(beta: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
+def marchenko_pastur_median(beta: float) -> float:
     """Median of the Marchenko-Pastur eigenvalue distribution, beta in (0, 1].
 
-    Found by bisecting the CDF, integrated by :func:`ppdecomp.noise.edge_quadrature`
-    with ``nodes`` nodes, to 1/2 within 1e-9. The result is cached: the
-    bisection takes milliseconds, and a decomposition asks again for each
-    view of the same shape.
+    Found by bisecting the CDF, integrated by :func:`ppdecomp.noise.edge_quadrature`,
+    to 1/2 within 1e-9. The result is cached: the bisection takes
+    milliseconds, and a decomposition asks again for each view of the same
+    shape.
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidInput(f"beta must lie in (0, 1], got {beta}")
@@ -61,7 +60,7 @@ def marchenko_pastur_median(beta: float, nodes: int = MP_NODES) -> float:
     lo, hi = a, b
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if edge_quadrature(a, b, mid, lambda xt: 2.0 * np.pi * beta * xt, nodes) < 0.5:
+        if edge_quadrature(a, b, mid, lambda xt: 2.0 * np.pi * beta * xt) < 0.5:
             lo = mid
         else:
             hi = mid

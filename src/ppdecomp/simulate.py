@@ -26,9 +26,10 @@ from ._rng import STREAM_CELL, derive_rng, derive_seed
 from .bootstrap import BootstrapConfig
 from .decomposition import DecompositionResult, decompose_multiview
 from .exceptions import BootstrapInfeasible, DimensionMismatch, InvalidInput
-from .linalg import sign_fixed_qr
+from .linalg import as_count, sign_fixed_qr
 
 RANK_MODES = ("true", "estimated", "under", "over")
+DEFAULT_SEED = 42   # of run_benchmark and of every CLI seed
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,11 @@ class SimConfig:
     sv_range: tuple[float, float] = (1.0, 2.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
+        object.__setattr__(self, "n", as_count(self.n, "n"))
+        object.__setattr__(self, "joint_rank", as_count(self.joint_rank, "joint_rank"))
+        object.__setattr__(self, "dims", tuple(as_count(p, "p") for p in self.dims))
         object.__setattr__(self, "individual_ranks",
-                           tuple(int(r) for r in self.individual_ranks))
+                           tuple(as_count(r, "individual rank") for r in self.individual_ranks))
         sv_range = tuple(float(v) for v in self.sv_range)
         if len(sv_range) != 2 or not 0.0 < sv_range[0] <= sv_range[1] < math.inf:
             raise InvalidInput(f"sv_range must be lo, hi with 0 < lo <= hi < inf, got {sv_range}")
@@ -101,7 +104,7 @@ class SimTruth:
 
 def generate(cfg: SimConfig):
     """Draw ``(views, truth)`` deterministically from ``cfg.seed``."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = derive_rng(cfg.seed)
     n = cfg.n
     u = np.linalg.svd(rng.standard_normal((n, n)))[0]
     r_j = cfg.joint_rank
@@ -223,14 +226,15 @@ def _requested_ranks(cfg: SimConfig, seed: int):
     return misspecify_ranks(cfg.marginal_ranks, cfg.rank_mode, seed)
 
 
-def run_benchmark(grid, reps: int, master_seed: int = 42,
-                  bootstrap_reps: int = 100) -> list[BenchmarkRow]:
+def run_benchmark(grid, reps: int, master_seed: int = DEFAULT_SEED,
+                  bootstrap_reps: int = BootstrapConfig.replicates) -> list[BenchmarkRow]:
     """Run ``reps`` seeded replications of every grid cell and average F-scores.
 
     Cell and replication seeds derive from ``(master_seed, cell_index,
     rep_index)``, so extending the grid leaves existing cells unchanged.
     Failed replications are recorded on the row rather than silently dropped.
     """
+    reps = as_count(reps, "reps")
     if reps < 1:
         raise InvalidInput("reps must be >= 1")
     rows = []

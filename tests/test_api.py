@@ -53,6 +53,22 @@ def test_no_private_name_is_imported_across_modules():
     assert crossings == []
 
 
+def test_only_the_rng_module_seeds_numpy():
+    # Every seed reaches numpy through _rng, which reads it by the one seed
+    # rule (as_count, non-negative) and derives its streams; a second call
+    # site would be a second rule.
+    calls = []
+    for path in sorted((ROOT / "src" / "ppdecomp").glob("*.py")):
+        if path.name == "_rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("default_rng", "SeedSequence"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
+
+
 def test_demos_and_readme_use_existing_names():
     sources = {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
     readme = (ROOT / "README.md").read_text()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import ppdecomp as ppd
 from ppdecomp import InvalidInput, ParseError, read_matrix_csv, write_matrix_csv
-from ppdecomp.cli import _load_result_json, main
+from ppdecomp.cli import _load_result_json, _parse_simulation_config, main
 from ppdecomp.matrixio import _loadtxt
 from conftest import qr_basis
 
@@ -493,6 +494,14 @@ def _edited_result(tmp_path, edit):
     return ["diagnose", "--result", str(result), "--svg", str(tmp_path / "p.svg")]
 
 
+def _fractional_dims(payload):
+    # Off the stored integers by fractions that int() would truncate alike.
+    payload["n"] += 0.7
+    payload["joint"]["ambient_dim"] += 0.2
+    for basis in payload["individuals"]:
+        basis["ambient_dim"] += 0.9
+
+
 def _truth_sidecar(tmp_path, sidecar):
     truth = tmp_path / "truth.json"
     truth.write_text(json.dumps(sidecar))
@@ -548,6 +557,11 @@ HOSTILE = {
         t, lambda d: d["spectrum"]["values"].__setitem__(0, 1.5)),
     "result-threshold-nan": lambda t: _edited_result(
         t, lambda d: d["spectrum"].update(bootstrap_threshold=float("nan"))),
+    "result-n-fractional": lambda t: _edited_result(t, _fractional_dims),
+    "result-joint-rank-fractional": lambda t: _edited_result(
+        t, lambda d: d.update(joint_rank=d["joint_rank"] + 0.5)),
+    "result-marginal-rank-fractional": lambda t: _edited_result(
+        t, lambda d: d.update(marginal_ranks=[3.5, 3])),
     "result-binding-pair-fractional": lambda t: _edited_result(
         t, lambda d: d.update(binding_pair=[0.5, 1])),
     "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
@@ -618,6 +632,27 @@ def test_cli_missing_file_is_an_io_error(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: io: ")
+
+
+def test_diagnose_names_the_result_file_for_a_fractional_count(tmp_path, capsys):
+    argv = HOSTILE["result-n-fractional"](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    n = json.loads((tmp_path / "result.json").read_text())["n"]
+    assert capsys.readouterr().err == (
+        f"error: invalid input: {tmp_path / 'result.json'}: not a decomposition result file "
+        f"(n must be an integer, got {n!r})\n")
+
+
+def test_readme_simulation_config_parses(tmp_path):
+    # The README's example, comments after values included, is a valid config.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"\*\*Simulation config\*\*.*?```\n(.*?)```", readme, flags=re.S).group(1)
+    path = tmp_path / "grid.cfg"
+    path.write_text(block)
+    cfg = _parse_simulation_config(str(path))
+    assert cfg["bootstrap_reps"] == 100 and cfg["sv_range"] == (1.0, 2.0)
+    assert cfg["dims"] == (80, 100) and cfg["rank_modes"] == ("estimated", "over", "under")
 
 
 def test_simulate_cmd_warns_once_per_failed_rep(tmp_path, capsys):

@@ -682,6 +682,27 @@ def test_multiview_ranks_must_be_integers():
         assert res.epsilon1_hat == base.epsilon1_hat
 
 
+def test_multiview_ranks_auto_is_spelled_none():
+    # None is the library's one spelling of automatic ranks (the CLI maps
+    # --ranks auto to it).
+    rng = np.random.default_rng(23)
+    views = [rng.standard_normal((10, 20)), rng.standard_normal((10, 22))]
+    with pytest.raises(InvalidInput, match="ranks must be None or one integer per view"):
+        decompose_multiview(views, ranks="auto", bootstrap=LIGHT_BOOT)
+
+
+def test_bootstrap_seed_is_a_non_negative_integer():
+    rng = np.random.default_rng(23)
+    views = [rng.standard_normal((10, 20)), rng.standard_normal((10, 22))]
+    for seed in (2.5, "a", math.nan, -1):
+        with pytest.raises(InvalidInput, match="seed must be"):
+            decompose_multiview(views, bootstrap=BootstrapConfig(replicates=12, seed=seed))
+    base = decompose_multiview(views, bootstrap=LIGHT_BOOT)
+    for seed in (17.0, np.int64(17), np.uint32(17)):
+        res = decompose_multiview(views, bootstrap=BootstrapConfig(replicates=12, seed=seed))
+        assert res.epsilon1_hat == base.epsilon1_hat
+
+
 def test_joint_rank_recovered_at_high_snr_monte_carlo():
     # True marginal ranks, SNR 2, orthogonal individuals: the threshold pair
     # should isolate the four joint directions in nearly every draw.

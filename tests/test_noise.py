@@ -129,6 +129,15 @@ def test_sample_deterministic_and_sized():
     assert np.all(np.diff(a) <= 0)
 
 
+def test_sample_reads_counts_and_seed_as_integers():
+    base = sample_noise_spectrum(40, 10, 15, seed=123)
+    same = sample_noise_spectrum(40.0, np.int64(10), 15.0, seed=np.uint64(123))
+    assert np.array_equal(base, same)
+    for bad in (dict(n=10.5), dict(r1=2.5), dict(r2="3"), dict(seed=2.5), dict(seed="a")):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            sample_noise_spectrum(**{"n": 10, "r1": 3, "r2": 4, "seed": 0, **bad})
+
+
 def test_sample_rejects_rank_above_dimension():
     with pytest.raises(InvalidInput):
         sample_noise_spectrum(10, 11, 3, seed=0)

@@ -39,10 +39,19 @@ def test_mp_median_sv_small_beta_limit():
 
 
 def test_mp_median_quadrature_resolution_consistency():
+    # The production node count resolves the median: an independent 800-node
+    # Gauss-Legendre rule, under the same substitution t = a + (b - a)(1 -
+    # cos u) / 2, puts the Marchenko-Pastur CDF at the returned median at 1/2.
+    u_nodes, u_weights = np.polynomial.legendre.leggauss(800)
     for beta in (1.0, 0.37):
-        coarse = marchenko_pastur_median(beta, nodes=200)
-        fine = marchenko_pastur_median(beta, nodes=800)
-        assert abs(coarse - fine) < 1e-6
+        a, b = (1.0 - math.sqrt(beta)) ** 2, (1.0 + math.sqrt(beta)) ** 2
+        median = marchenko_pastur_median(beta)
+        half = 0.5 * (b - a)
+        u_up = math.acos(min(max(1.0 - (median - a) / half, -1.0), 1.0))
+        u = 0.5 * u_up * (u_nodes + 1.0)
+        t = a + half * (1.0 - np.cos(u))
+        cdf = np.sum(0.5 * u_up * u_weights * half**2 * np.sin(u) ** 2 / (2.0 * math.pi * beta * t))
+        assert abs(cdf - 0.5) < 1e-6
 
 
 def test_mp_median_is_bisected_once_per_shape(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from ppdecomp import (DimensionMismatch, InvalidInput, SimConfig, generate,
                       misspecify_ranks, principal_spectrum, run_benchmark,
                       score)
+from ppdecomp._rng import derive_rng
 from conftest import qr_basis
 
 
@@ -118,6 +119,34 @@ def test_generate_rejects_bad_configs():
         base_cfg(dims=(80, 0), joint_rank=0, individual_ranks=(0, 0))
 
 
+def test_sim_config_counts_must_be_integers():
+    for bad in (dict(dims=(80.7, 100)), dict(n=30.5), dict(joint_rank=2.5),
+                dict(individual_ranks=(4.5, 4)), dict(n="50")):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            base_cfg(**bad)
+    # Integral floats and numpy integers are counts, and plant the same draw.
+    cfg = base_cfg(n=50.0, dims=(np.int64(80), 100.0), joint_rank=np.int32(4),
+                   individual_ranks=(5.0, np.uint8(4)))
+    assert cfg == base_cfg()
+    assert all(np.array_equal(a, b) for a, b in zip(generate(cfg)[0], generate(base_cfg())[0]))
+
+
+def test_generate_seed_is_a_non_negative_integer():
+    for seed in (2.5, -1, "a"):
+        with pytest.raises(InvalidInput, match="seed must be"):
+            generate(base_cfg(seed=seed))
+    views = generate(base_cfg(seed=7))[0]
+    for seed in (7.0, np.int64(7), np.uint64(7)):
+        assert all(np.array_equal(a, b) for a, b in zip(views, generate(base_cfg(seed=seed))[0]))
+
+
+def test_keyless_derived_stream_is_numpys_default_stream():
+    # generate seeds through derive_rng; with no key that is default_rng's
+    # stream, so every draw planted before it moved there is unchanged.
+    for seed in (7, 2**63 + 5):
+        assert np.array_equal(derive_rng(seed).random(8), np.random.default_rng(seed).random(8))
+
+
 def test_misspecify_arithmetic_and_determinism():
     over = misspecify_ranks((9, 8), "over", seed=5)
     assert over == misspecify_ranks((9, 8), "over", seed=5)
@@ -145,6 +174,12 @@ def test_misspecify_clamps_with_warning():
             assert r == 1
             clamped = True
     assert clamped
+
+
+def test_misspecify_seed_is_a_non_negative_integer():
+    assert misspecify_ranks((9, 8), "over", seed=5.0) == misspecify_ranks((9, 8), "over", seed=5)
+    with pytest.raises(InvalidInput, match="seed must be an integer"):
+        misspecify_ranks((9, 8), "over", seed=2.5)
 
 
 def test_misspecify_rejects_unknown_mode():
@@ -219,6 +254,16 @@ def test_run_benchmark_smoke_and_determinism():
 def test_run_benchmark_needs_a_rep():
     with pytest.raises(InvalidInput, match="reps"):
         run_benchmark([base_cfg()], reps=0)
+
+
+def test_run_benchmark_reads_reps_and_seed_as_integers():
+    grid = [base_cfg(n=30, dims=(40, 45), joint_rank=2, individual_ranks=(2, 2), snr=4.0)]
+    rows = run_benchmark(grid, reps=2, master_seed=11, bootstrap_reps=5)
+    assert run_benchmark(grid, reps=2.0, master_seed=np.int64(11), bootstrap_reps=5.0) == rows
+    with pytest.raises(InvalidInput, match="reps must be an integer"):
+        run_benchmark(grid, reps=2.5, bootstrap_reps=5)
+    with pytest.raises(InvalidInput, match="seed must be an integer"):
+        run_benchmark(grid, reps=1, master_seed=1.5, bootstrap_reps=5)
 
 
 def test_run_benchmark_records_failures():
