@@ -188,7 +188,7 @@ def _noise_replicate_rng(y, trunc: Truncation, sigma_hat, rng):
     return e
 
 
-def _row_basis_rng(p, n, r, rng):
+def _row_basis_rng(p, n, r, rngs):
     """v_m = v[:m], m = min(n, p), of a Haar (p, r) frame v, drawn without forming v.
 
     The sign-fixed QR of a Gaussian G = [G_m; G_rest] is v = G R^-1, with R
@@ -200,14 +200,12 @@ def _row_basis_rng(p, n, r, rng):
     is not needed: v_m^T v_m + v[m:]^T v[m:] = I. For p <= n this is
     :func:`ppdecomp.linalg.haar_basis`.
 
-    As there, ``rng`` may be a sequence of generators: each draws its own
-    Gaussians, and v_m is a stack over them.
+    ``rngs`` is a sequence of generators: each draws its own Gaussians, and
+    v_m is a stack over them.
     """
     m = min(n, p)
     if p == m:
-        return haar_basis(p, r, rng)
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
+        return haar_basis(p, r, rngs)
     d = p - m
     gm = np.empty((len(rngs), m, r))
     low = np.empty((len(rngs), min(d, r), r))
@@ -223,8 +221,7 @@ def _row_basis_rng(p, n, r, rng):
     else:
         low = mt(low)
     c_inv = np.linalg.inv(np.linalg.cholesky(mt(gm) @ gm + low @ mt(low)))   # R^-T
-    v_m = gm @ mt(c_inv)
-    return v_m[0] if single else v_m
+    return gm @ mt(c_inv)
 
 
 class SignalPlusNoise(NamedTuple):

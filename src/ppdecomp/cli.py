@@ -225,11 +225,12 @@ def _load_result_json(path: str) -> DecompositionResult:
         )
         joint = _basis_from_json(payload["joint"])
         individuals = [_basis_from_json(b) for b in payload["individuals"]]
+        stated = (as_count(payload["joint_rank"], "joint_rank"),
+                  tuple(as_count(r, "marginal rank") for r in payload["marginal_ranks"]),
+                  [as_count(b["rank"], "rank") for b in [payload["joint"], *payload["individuals"]]])
         result = DecompositionResult(
             joint=joint,
             individuals=individuals,
-            marginal_ranks=tuple(as_count(r, "marginal rank") for r in payload["marginal_ranks"]),
-            joint_rank=as_count(payload["joint_rank"], "joint_rank"),
             spectrum=spectrum,
             epsilon1_hat=float(payload["epsilon1_hat"]),
             sigma_hats=tuple(float(s) for s in payload["sigma_hats"]),
@@ -245,6 +246,10 @@ def _load_result_json(path: str) -> DecompositionResult:
     if not np.all((drawn >= 0.0) & (drawn <= 1.0)):
         raise InvalidInput(f"{path}: spectrum values and thresholds must be finite "
                            f"and lie in [0, 1]")
+    counted = (result.joint_rank, result.marginal_ranks, [b.shape[1] for b in [joint, *individuals]])
+    if stated != counted:
+        raise InvalidInput(f"{path}: joint_rank, marginal_ranks and basis ranks {stated} "
+                           f"differ from the bases' column counts {counted}")
     pair = result.binding_pair
     if len(pair) != 2 or pair[0] == pair[1] or not all(
             type(i) is int and 0 <= i < len(result.marginal_ranks) for i in pair):

@@ -7,13 +7,15 @@ Pipeline for two views Y1, Y2 sharing their n rows:
    take its signal subspace and values at that rank (``truncate``);
 2. bootstrap the perturbation bound epsilon_1 of the top spectral cluster;
 3. bound random-alignment singular values analytically by sqrt(lambda_plus)
-   with rank-to-dimension ratios q_k = rank_k / n;
+   with q_k = rank_k / n, rank_k the column count of view k's estimated basis;
 4. the joint rank is the number of product singular values strictly above the
    larger of the two thresholds;
 5. the joint subspace is spanned by the leading eigenvectors of the
    symmetrized product of the estimated projections;
-6. each individual subspace is spanned by the leading directions of the
-   estimated view projection after removing the joint component.
+6. each individual subspace is spanned by the leading rank_k - r_joint
+   directions of the view projection outside the joint subspace.
+
+Each rank is read off the column count of its basis, never passed beside it.
 
 More than two views are handled by taking the minimum pairwise joint rank and
 the leading eigenvectors of the permutation-averaged projection product.
@@ -34,7 +36,7 @@ from ._rng import STREAM_PAIR, derive_seed
 from .bootstrap import BootstrapConfig, canonical_order, estimate_epsilon1
 from .exceptions import DimensionMismatch, InvalidInput
 from .linalg import as_count, as_matrix, principal_spectrum, reduced_coords
-from .noise import NoiseSpectrumLaw, noise_law, singular_value_threshold
+from .noise import noise_law, singular_value_threshold
 from .ranksel import select_rank, truncate, view_spectrum
 
 # Upper cap on the bootstrap threshold 1 - epsilon1_hat. In exactly noiseless
@@ -55,36 +57,45 @@ class ProductSpectrum:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Joint basis, per-view individual bases, ranks, and diagnostics.
+    """Joint basis, per-view individual bases, and diagnostics.
 
     ``spectrum`` and ``epsilon1_hat`` describe the pair of views named by
     ``binding_pair``: with two views that is (0, 1); with more it is the first
     pair in canonical view order attaining the minimum pairwise joint rank.
+    ``joint_rank`` and ``marginal_ranks`` are read-only, read off the bases.
     """
 
     joint: np.ndarray
     individuals: list[np.ndarray]
-    marginal_ranks: tuple[int, ...]
-    joint_rank: int
     spectrum: ProductSpectrum
     epsilon1_hat: float
     sigma_hats: tuple[float, ...]
     view_bases: list[np.ndarray]
     binding_pair: tuple[int, int] = (0, 1)
 
+    @property
+    def joint_rank(self) -> int:
+        return self.joint.shape[1]
 
-def product_spectrum(u1_hat, u2_hat, eps1_hat: float, law: NoiseSpectrumLaw) -> ProductSpectrum:
+    @property
+    def marginal_ranks(self) -> tuple[int, ...]:
+        return tuple(self.joint_rank + b.shape[1] for b in self.individuals)
+
+
+def product_spectrum(u1_hat, u2_hat, eps1_hat: float) -> ProductSpectrum:
     """Spectrum of the product of the two estimated projections with thresholds attached.
 
-    The noise threshold is :func:`ppdecomp.noise.singular_value_threshold` of ``law``.
+    The noise threshold is ``singular_value_threshold(noise_law(r1 / n, r2 / n))``
+    for bases of shapes (n, r1) and (n, r2), so 0 for a rank-0 basis.
     """
     if not eps1_hat >= 0.0:
         raise InvalidInput(f"eps1_hat must be >= 0, got {eps1_hat}")
     values = principal_spectrum(u1_hat, u2_hat)
+    (n, r1), r2 = np.shape(u1_hat), np.shape(u2_hat)[1]
     bootstrap_threshold = min(max(1.0 - eps1_hat, 0.0), BOOTSTRAP_THRESHOLD_CAP)
     return ProductSpectrum(values=values,
                            bootstrap_threshold=bootstrap_threshold,
-                           noise_threshold=singular_value_threshold(law))
+                           noise_threshold=singular_value_threshold(noise_law(r1 / n, r2 / n)))
 
 
 def joint_rank(spectrum: ProductSpectrum) -> int:
@@ -114,6 +125,7 @@ def joint_basis(bases, r_joint: int) -> np.ndarray:
     Solved as a reduced symmetric eigenproblem inside the span of the bases;
     the projectors are never materialized at ambient size.
     """
+    r_joint = as_count(r_joint, "r_joint")
     if r_joint < 0:
         raise InvalidInput("r_joint must be >= 0")
     if r_joint > min(u.shape[1] for u in bases):
@@ -128,16 +140,17 @@ def joint_basis(bases, r_joint: int) -> np.ndarray:
     return w @ top
 
 
-def individual_basis(uk_hat, joint, rk: int, r_joint: int) -> np.ndarray:
+def individual_basis(uk_hat, joint) -> np.ndarray:
     """Leading rank_k - r_joint directions of the view projection outside the joint.
 
-    Computed as the top left singular vectors of (I - P_joint) uk_hat, which
-    are those of (I - P_joint) P_view, so the result is orthogonal to the
-    joint basis by construction.
+    rank_k and r_joint are the column counts of ``uk_hat`` and ``joint``. The
+    directions are the top left singular vectors of (I - P_joint) uk_hat, which
+    are those of (I - P_joint) P_view, so they are orthogonal to the joint basis.
     """
-    if r_joint > rk:
-        raise InvalidInput(f"r_joint = {r_joint} exceeds the marginal rank {rk}")
     uk_hat = np.asarray(uk_hat, dtype=float)
+    rk, r_joint = uk_hat.shape[1], joint.shape[1]
+    if r_joint > rk:
+        raise InvalidInput(f"joint basis rank {r_joint} exceeds the marginal rank {rk}")
     outside = uk_hat - joint @ (joint.T @ uk_hat)
     return np.linalg.svd(outside, full_matrices=False)[0][:, :rk - r_joint]
 
@@ -197,21 +210,16 @@ def decompose_multiview(views, ranks=None,
         cfg_pair = replace(bootstrap, seed=derive_seed(bootstrap.seed, STREAM_PAIR, a, b))
         est = estimate_epsilon1(views[i], views[j], truncs[i], truncs[j],
                                 sigma_hats[i], sigma_hats[j], cfg_pair)
-        law = noise_law(marginal_ranks[i] / n, marginal_ranks[j] / n)
-        spec = product_spectrum(truncs[i].basis, truncs[j].basis, est.epsilon1_hat, law)
+        spec = product_spectrum(truncs[i].basis, truncs[j].basis, est.epsilon1_hat)
         r_pair = joint_rank(spec)
         if best is None or r_pair < best[0]:
             best = (r_pair, (i, j), spec, est)
     r_joint, binding_pair, spectrum, eps_est = best
 
     joint = joint_basis([t.basis for t in truncs], r_joint)
-    individuals = [individual_basis(t.basis, joint, r, r_joint)
-                   for t, r in zip(truncs, marginal_ranks)]
     return DecompositionResult(
         joint=joint,
-        individuals=individuals,
-        marginal_ranks=marginal_ranks,
-        joint_rank=r_joint,
+        individuals=[individual_basis(t.basis, joint) for t in truncs],
         spectrum=spectrum,
         epsilon1_hat=eps_est.epsilon1_hat,
         sigma_hats=sigma_hats,

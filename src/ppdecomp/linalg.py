@@ -122,6 +122,7 @@ def haar_basis(n: int, r: int, rng) -> np.ndarray:
     of independent frames, frame i drawn from ``rng[i]`` as a single call
     would draw it; the factorizations then run as one stacked call.
     """
+    n, r = as_count(n, "n"), as_count(r, "r")
     if r > n:
         raise InvalidInput(f"rank {r} exceeds ambient dimension {n}")
     single = isinstance(rng, np.random.Generator)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import as_matrix, mt, sign_fixed_qr
+from .linalg import as_count, as_matrix, mt, sign_fixed_qr
 from .noise import edge_quadrature
 
 # Numerical-rank floor, relative to s_1: on noise-free data the median is 0,
@@ -73,6 +73,7 @@ def mp_median_sv(n: int, p: int) -> float:
     Computed as sqrt(max(n, p) * m_beta) with m_beta the Marchenko-Pastur
     median at beta = min(n, p) / max(n, p).
     """
+    n, p = as_count(n, "n"), as_count(p, "p")
     if n < 1 or p < 1:
         raise InvalidInput("n and p must be >= 1")
     beta = min(n, p) / max(n, p)
@@ -156,6 +157,7 @@ def truncate(y, rank: int) -> Truncation:
     """
     spec = y if isinstance(y, ViewSpectrum) else view_spectrum(y)
     n, p = spec.shape
+    rank = as_count(rank, "rank")
     if rank < 0 or rank > min(n, p):
         raise InvalidInput(f"rank must lie in [0, {min(n, p)}], got {rank}")
     basis = spec.left[:, :rank]

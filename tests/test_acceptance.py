@@ -127,9 +127,7 @@ def test_criterion_4_estimation_error_domination():
     for seed in range(200):
         cfg, truth, truncs, _, _ = _theorem_instance(seed)
         j_hat = joint_basis([t.basis for t in truncs], cfg.joint_rank)
-        ind_hats = [individual_basis(truncs[k].basis, j_hat,
-                                     cfg.marginal_ranks[k], cfg.joint_rank)
-                    for k in range(2)]
+        ind_hats = [individual_basis(truncs[k].basis, j_hat) for k in range(2)]
         rep = theorem2_bounds(truth.joint, truth.individuals,
                               [t.basis for t in truncs], j_hat, ind_hats)
         if not rep.hypothesis_ok:
@@ -223,7 +221,7 @@ def test_criterion_8_brute_force_equivalence():
         worst = max(worst, float(np.max(np.abs(
             spec - bf_principal_spectrum(hats[0], hats[1])))))
         j_hat = joint_basis(hats, 2)
-        ind_hats = [individual_basis(hats[k], j_hat, 4, 2) for k in range(2)]
+        ind_hats = [individual_basis(hats[k], j_hat) for k in range(2)]
         rep = theorem2_bounds(joint, inds, hats, j_hat, ind_hats)
         bf_joint, bf_inds, _ = bf_theorem2(joint, inds, hats, j_hat)
         worst = max(worst, abs(rep.joint_bound - bf_joint),

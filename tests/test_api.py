@@ -3,6 +3,7 @@ README use, and the functions the benchmark tracer hooks."""
 
 import ast
 import importlib.util
+import inspect
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -70,17 +71,33 @@ def test_only_the_rng_module_seeds_numpy():
 
 
 def test_demos_and_readme_use_existing_names():
+    # Each name must exist, and each ppd.<name>(...) call must bind to its
+    # current signature, so that narrowing a signature cannot leave a stale
+    # example behind. Calls that unpack * or ** arguments are not checked.
     sources = {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert blocks, "README has no python blocks"
     sources["README.md"] = "\n".join(blocks)
-    used = 0
+    used = bound = 0
     for origin, text in sources.items():
         for name in re.findall(r"\bppd\.([A-Za-z_]\w*)", text):
             assert hasattr(ppd, name), f"{origin} uses missing ppd.{name}"
             used += 1
-    assert used > 0
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "ppd"):
+                continue
+            keywords = [k.arg for k in node.keywords]
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                continue
+            try:
+                inspect.signature(getattr(ppd, node.func.attr)).bind(
+                    *node.args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                raise AssertionError(f"{origin}:{node.lineno} ppd.{node.func.attr}: {exc}") from None
+            bound += 1
+    assert used > 0 and bound > 0
 
 
 def test_tracer_finds_every_hook(tmp_path):

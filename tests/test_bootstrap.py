@@ -209,7 +209,7 @@ def test_row_basis_draw_is_orthonormal(p, n, r):
     # replicate do without k.
     rng, ref = np.random.default_rng(p), np.random.default_rng(p)
     for _ in range(20):
-        v_m = _row_basis_rng(p, n, r, rng)
+        v_m = _row_basis_rng(p, n, r, [rng])[0]
         ref_m, k = _k_row_basis(p, n, r, ref)
         assert np.array_equal(v_m, ref_m)
         assert v_m.shape == (min(n, p), r)
@@ -223,7 +223,7 @@ def test_row_basis_draw_is_orthonormal(p, n, r):
     if 0 < p - n < r:
         # G_m and G_rest are consecutive rows of the Gaussian that
         # haar_basis(p, r) would draw, so v_m is its first m rows.
-        v_m = _row_basis_rng(p, n, r, np.random.default_rng(0))
+        v_m = _row_basis_rng(p, n, r, [np.random.default_rng(0)])[0]
         assert np.allclose(v_m, haar_basis(p, r, np.random.default_rng(0))[:n], atol=1e-12)
 
 
@@ -235,7 +235,7 @@ def test_row_basis_draw_has_haar_moments(p, n, r):
     # moves some diagonal entry by many standard errors.
     rng = np.random.default_rng(p + r)
     grams = np.array([v_m.T @ v_m for v_m in
-                      (_row_basis_rng(p, n, r, rng) for _ in range(3000))])
+                      (_row_basis_rng(p, n, r, [rng])[0] for _ in range(3000))])
     diag = grams[:, np.arange(r), np.arange(r)]
     se = diag.std(axis=0, ddof=1) / np.sqrt(diag.shape[0])
     assert np.all(np.abs(diag.mean(axis=0) - n / p) <= 4.0 * se)

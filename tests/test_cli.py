@@ -564,6 +564,12 @@ HOSTILE = {
         t, lambda d: d.update(marginal_ranks=[3.5, 3])),
     "result-binding-pair-fractional": lambda t: _edited_result(
         t, lambda d: d.update(binding_pair=[0.5, 1])),
+    "result-joint-rank-contradicts-basis": lambda t: _edited_result(
+        t, lambda d: d.update(joint_rank=0)),
+    "result-marginal-ranks-contradict-bases": lambda t: _edited_result(
+        t, lambda d: d.update(marginal_ranks=[20, 1])),
+    "result-basis-rank-contradicts-columns": lambda t: _edited_result(
+        t, lambda d: d["joint"].update(rank=7)),
     "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
     "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
     "truth-intervals-not-pairs": lambda t: _truth_sidecar(
@@ -642,6 +648,25 @@ def test_diagnose_names_the_result_file_for_a_fractional_count(tmp_path, capsys)
     assert capsys.readouterr().err == (
         f"error: invalid input: {tmp_path / 'result.json'}: not a decomposition result file "
         f"(n must be an integer, got {n!r})\n")
+
+
+@pytest.mark.parametrize("case", ["result-joint-rank-contradicts-basis",
+                                  "result-marginal-ranks-contradict-bases",
+                                  "result-basis-rank-contradicts-columns"])
+def test_diagnose_names_the_result_file_for_a_contradicted_rank(tmp_path, capsys, case):
+    argv = HOSTILE[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid input: {tmp_path / 'result.json'}: joint_rank, marginal_ranks")
+
+
+def test_diagnose_accepts_ranks_stated_as_integral_floats(tmp_path):
+    def as_floats(payload):
+        payload["joint_rank"] = float(payload["joint_rank"])
+        payload["marginal_ranks"] = [float(r) for r in payload["marginal_ranks"]]
+        payload["joint"]["rank"] = float(payload["joint"]["rank"])
+    assert main(_edited_result(tmp_path, as_floats)) == 0
 
 
 def test_readme_simulation_config_parses(tmp_path):

@@ -89,7 +89,7 @@ def small_instance(seed):
 
 def test_product_spectrum_identical_views():
     u = qr_basis(10, 3, np.random.default_rng(0))
-    spec = product_spectrum(u, u, 0.1, ppd.noise_law(0.3, 0.3))
+    spec = product_spectrum(u, u, 0.1)
     assert np.allclose(spec.values, 1.0, atol=1e-10)
     assert spec.noise_threshold == pytest.approx(np.sqrt(0.84))
     assert spec.bootstrap_threshold == pytest.approx(0.9)
@@ -97,9 +97,20 @@ def test_product_spectrum_identical_views():
 
 def test_product_spectrum_orthogonal_views():
     q = qr_basis(10, 6, np.random.default_rng(1))
-    spec = product_spectrum(q[:, :3], q[:, 3:], 0.0, ppd.noise_law(0.3, 0.3))
+    spec = product_spectrum(q[:, :3], q[:, 3:], 0.0)
     assert np.allclose(spec.values, 0.0, atol=1e-10)
     assert spec.bootstrap_threshold < 1.0  # capped just below one
+
+
+@pytest.mark.parametrize("n,r1,r2", [(10, 3, 3), (10, 3, 6), (40, 12, 5), (12, 0, 4), (12, 4, 0)])
+def test_product_spectrum_noise_cut_is_the_law_of_the_basis_ranks(n, r1, r2):
+    # The ranks of the noise law are the bases' column counts; a rank-0
+    # basis has no noise directions and a cut of 0.
+    q = qr_basis(n, r1 + r2, np.random.default_rng(n + r1))
+    spec = product_spectrum(q[:, :r1], q[:, r1:], 0.1)
+    want = ppd.singular_value_threshold(ppd.noise_law(r1 / n, r2 / n))
+    assert spec.noise_threshold == want
+    assert (want == 0.0) == (min(r1, r2) == 0)
 
 
 @pytest.mark.parametrize("eps1_hat", [-0.1, math.nan])
@@ -107,7 +118,7 @@ def test_product_spectrum_rejects_a_bad_epsilon(eps1_hat):
     # A NaN would make a NaN bootstrap cut, which joint_rank's max() drops.
     u = qr_basis(10, 3, np.random.default_rng(0))
     with pytest.raises(InvalidInput, match="eps1_hat"):
-        product_spectrum(u, u, eps1_hat, ppd.noise_law(0.3, 0.3))
+        product_spectrum(u, u, eps1_hat)
 
 
 def test_joint_rank_counts_strictly_above_both_thresholds():
@@ -139,6 +150,14 @@ def test_joint_basis_rejects_excessive_rank():
         joint_basis([u, u], 5)
 
 
+def test_joint_basis_rank_is_a_count():
+    u = qr_basis(15, 4, np.random.default_rng(4))
+    assert np.array_equal(joint_basis([u, u], 2.0), joint_basis([u, u], 2))
+    for bad in (1.5, "2", None):
+        with pytest.raises(InvalidInput, match="r_joint must be an integer"):
+            joint_basis([u, u], bad)
+
+
 def test_joint_and_individual_bases_reject_bad_inputs():
     u = qr_basis(15, 4, np.random.default_rng(4))
     with pytest.raises(InvalidInput, match="r_joint must be >= 0"):
@@ -146,7 +165,7 @@ def test_joint_and_individual_bases_reject_bad_inputs():
     with pytest.raises(DimensionMismatch):
         joint_basis([u, qr_basis(16, 4, np.random.default_rng(5))], 1)
     with pytest.raises(InvalidInput, match="exceeds the marginal rank"):
-        individual_basis(u, u[:, :1], 4, 5)
+        individual_basis(u[:, :1], u)
 
 
 def test_joint_basis_recovers_planted_joint_noiseless():
@@ -184,13 +203,13 @@ def test_joint_basis_matches_brute_force_projectors(k_views, n, r_joint, noise, 
 
 def test_individual_basis_with_empty_joint_spans_view():
     u = qr_basis(12, 5, np.random.default_rng(6))
-    ind = individual_basis(u, np.zeros((12, 0)), 5, 0)
+    ind = individual_basis(u, np.zeros((12, 0)))
     assert subspace_distance(ind, u) <= 1e-10
 
 
 def test_individual_basis_rank_equal_joint_is_empty():
     u = qr_basis(12, 3, np.random.default_rng(7))
-    assert individual_basis(u, u, 3, 3).shape == (12, 0)
+    assert individual_basis(u, u).shape == (12, 0)
 
 
 def test_individual_basis_recovers_planted_individual_noiseless():
@@ -198,7 +217,7 @@ def test_individual_basis_recovers_planted_individual_noiseless():
     q = qr_basis(20, 8, rng)
     joint, i1 = q[:, :3], q[:, 3:6]
     u1 = np.hstack([joint, i1])
-    ind = individual_basis(u1, joint, 6, 3)
+    ind = individual_basis(u1, joint)
     assert subspace_distance(ind, i1) <= 1e-8
     assert np.max(np.abs(joint.T @ ind)) <= 1e-10
 
@@ -221,7 +240,7 @@ def test_individual_basis_matches_brute_force_projectors(n, rk, joint_frac, nois
     left, s, _ = np.linalg.svd((np.eye(n) - projector(joint)) @ projector(u))
     r_ind = rk - r_joint
     assume(r_ind == 0 or s[r_ind - 1] - s[r_ind] >= 1e-3)
-    got = individual_basis(u, joint, rk, r_joint)
+    got = individual_basis(u, joint)
     assert got.shape == (n, r_ind)
     assert np.max(np.abs(projector(got) - projector(left[:, :r_ind]))) <= 1e-10
     assert np.max(np.abs(joint.T @ got), initial=0.0) <= 1e-10
@@ -352,7 +371,7 @@ def test_truth_oracle_orthogonal_individuals():
 def test_theorem2_matches_brute_force(seed):
     joint, inds, hats = small_instance(seed)
     j_hat = joint_basis(hats, 2)
-    ind_hats = [individual_basis(hats[k], j_hat, 4, 2) for k in range(2)]
+    ind_hats = [individual_basis(hats[k], j_hat) for k in range(2)]
     rep = theorem2_bounds(joint, inds, hats, j_hat, ind_hats)
     want_joint, want_inds, want_tau = bf_theorem2(joint, inds, hats, j_hat)
     assert rep.joint_bound == pytest.approx(want_joint, abs=1e-10)
@@ -499,19 +518,28 @@ def test_decompose_rank_zero_view_property(n, p1, p2, ind, angle, snr, seed, whi
 
 
 def test_decompose_result_invariants():
-    cfg = ppd.SimConfig(n=50, dims=(80, 100), joint_rank=4, individual_ranks=(5, 4),
-                        angle_deg=90.0, snr=2.0, seed=20)
-    views, _ = ppd.generate(cfg)
-    res = decompose(views[0], views[1], bootstrap=BootstrapConfig(replicates=25, seed=3))
-    assert res.joint.shape[1] == res.joint_rank
-    for k in range(2):
-        ind = res.individuals[k]
-        assert ind.shape[1] == res.marginal_ranks[k] - res.joint_rank
-        if res.joint_rank and ind.shape[1]:
-            assert np.max(np.abs(res.joint.T @ ind)) <= 1e-6
-    assert np.all(res.spectrum.values >= 0.0) and np.all(res.spectrum.values <= 1.0)
-    assert 0.0 <= res.spectrum.bootstrap_threshold <= 1.0
-    assert 0.0 <= res.spectrum.noise_threshold <= 1.0
+    # Every rank the result reports is read off its bases, whatever the rank
+    # mode and however many views.
+    for dims, individual_ranks in (((80, 100), (5, 4)), ((80, 100, 90), (5, 4, 3))):
+        cfg = ppd.SimConfig(n=50, dims=dims, joint_rank=4, individual_ranks=individual_ranks,
+                            angle_deg=90.0, snr=2.0, seed=20)
+        views, _ = ppd.generate(cfg)
+        for mode in ("estimated", "over", "under"):
+            ranks = (None if mode == "estimated"
+                     else ppd.misspecify_ranks(cfg.marginal_ranks, mode, 20))
+            res = decompose_multiview(views, ranks=ranks,
+                                      bootstrap=BootstrapConfig(replicates=25, seed=3))
+            assert res.marginal_ranks == tuple(b.shape[1] for b in res.view_bases)
+            assert ranks is None or res.marginal_ranks == ranks
+            assert res.joint.shape[1] == res.joint_rank
+            for k in range(len(dims)):
+                ind = res.individuals[k]
+                assert ind.shape[1] == res.marginal_ranks[k] - res.joint_rank
+                if res.joint_rank and ind.shape[1]:
+                    assert np.max(np.abs(res.joint.T @ ind)) <= 1e-6
+            assert np.all(res.spectrum.values >= 0.0) and np.all(res.spectrum.values <= 1.0)
+            assert 0.0 <= res.spectrum.bootstrap_threshold <= 1.0
+            assert 0.0 <= res.spectrum.noise_threshold <= 1.0
 
 
 def test_decompose_row_count_mismatch():

@@ -139,6 +139,14 @@ def test_haar_basis_rejects_a_rank_above_the_dimension():
         haar_basis(5, 6, np.random.default_rng(0))
 
 
+def test_haar_basis_shape_is_a_pair_of_counts():
+    want = haar_basis(10, 3, np.random.default_rng(0))
+    assert np.array_equal(haar_basis(10.0, np.int32(3), np.random.default_rng(0)), want)
+    for n, r in ((10, 2.5), (10.5, 3), ("10", 3)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            haar_basis(n, r, np.random.default_rng(0))
+
+
 HAAR_SHAPES = pytest.mark.parametrize("n,r", [(300, 20), (167, 32), (50, 25), (50, 26),
                                               (40, 40), (20, 20)])
 

@@ -112,6 +112,13 @@ def test_mp_median_sv_rejects_an_empty_shape():
         mp_median_sv(0, 5)
 
 
+def test_mp_median_sv_shape_is_a_pair_of_counts():
+    assert mp_median_sv(10.0, np.int64(20)) == mp_median_sv(10, 20)
+    for shape in ((10.5, 20), (10, "20"), (math.nan, 20)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            mp_median_sv(*shape)
+
+
 def test_select_rank_rejects_a_vector():
     with pytest.raises(InvalidInput, match="2-D"):
         select_rank(np.ones(5))
@@ -330,6 +337,16 @@ def test_truncate_gain_cap_keeps_a_tiny_tail_bound_in_range(shape, monkeypatch):
 def test_truncate_rejects_excessive_rank():
     with pytest.raises(InvalidInput):
         truncate(np.ones((4, 6)), 5)
+
+
+def test_truncate_rank_is_a_count():
+    y = np.random.default_rng(3).standard_normal((8, 12))
+    got, want = truncate(y, 2.0), truncate(y, 2)
+    assert got.basis.shape == (8, 2)
+    assert np.array_equal(got.basis, want.basis) and np.array_equal(got.values, want.values)
+    for bad in (2.5, "2", None):
+        with pytest.raises(InvalidInput, match="rank must be an integer"):
+            truncate(y, bad)
 
 
 @pytest.mark.parametrize("shape", [(40, 60), (60, 40)], ids=["wide", "tall"])
