@@ -36,14 +36,6 @@ ERRORS = {DimensionMismatch: ("dimension mismatch", 2), ParseError: ("parse", 2)
           OSError: ("io", 2), BootstrapInfeasible: ("bootstrap infeasible", 3)}
 
 
-def _basis_json(basis: np.ndarray) -> dict:
-    return {
-        "ambient_dim": int(basis.shape[0]),
-        "rank": int(basis.shape[1]),
-        "columns": [[float(v) for v in basis[:, j]] for j in range(basis.shape[1])],
-    }
-
-
 def _float_vector(values) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     if out.ndim != 1:
@@ -51,20 +43,20 @@ def _float_vector(values) -> np.ndarray:
     return out
 
 
-def _basis_from_json(obj: dict) -> np.ndarray:
-    n, cols = as_count(obj["ambient_dim"], "ambient_dim"), obj["columns"]
-    basis = np.asarray(cols, dtype=float).T if cols else np.zeros((n, 0))
-    if basis.ndim != 2 or basis.shape[0] != n or not np.all(np.isfinite(basis)):
-        raise ValueError(f"basis columns must hold {n} finite numbers each")
-    return basis
+def _counts(result: DecompositionResult) -> dict:
+    """Every count result.json restates, read off the bases: n, views, the ranks, each basis's shape."""
+    bases = [result.joint, *result.individuals]
+    return {"n": bases[0].shape[0], "views": len(result.individuals),
+            "marginal_ranks": list(result.marginal_ranks), "joint_rank": result.joint_rank,
+            "bases": [{"ambient_dim": b.shape[0], "rank": b.shape[1]} for b in bases]}
 
 
 def _result_json(result: DecompositionResult, seed: int, bootstrap_reps: int) -> str:
+    counts = _counts(result)
+    bases = [{**shape, "columns": [[float(v) for v in col] for col in b.T]}
+             for shape, b in zip(counts.pop("bases"), [result.joint, *result.individuals])]
     payload = {
-        "n": int(result.joint.shape[0]),
-        "views": len(result.individuals),
-        "marginal_ranks": [int(r) for r in result.marginal_ranks],
-        "joint_rank": int(result.joint_rank),
+        **counts,
         "epsilon1_hat": float(result.epsilon1_hat),
         "sigma_hats": [float(s) for s in result.sigma_hats],
         "binding_pair": [int(i) for i in result.binding_pair],
@@ -73,8 +65,8 @@ def _result_json(result: DecompositionResult, seed: int, bootstrap_reps: int) ->
             "bootstrap_threshold": float(result.spectrum.bootstrap_threshold),
             "noise_threshold": float(result.spectrum.noise_threshold),
         },
-        "joint": _basis_json(result.joint),
-        "individuals": [_basis_json(b) for b in result.individuals],
+        "joint": bases[0],
+        "individuals": bases[1:],
         "seed": int(seed),
         "bootstrap_reps": int(bootstrap_reps),
     }
@@ -214,47 +206,36 @@ def _density_samples(law: NoiseSpectrumLaw):
 
 
 def _load_result_json(path: str) -> DecompositionResult:
+    """Parse result.json, build the result (whose type checks it), then compare the counts."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        n = as_count(payload["n"], "n")
-        spectrum = ProductSpectrum(
-            values=_float_vector(payload["spectrum"]["values"]),
-            bootstrap_threshold=float(payload["spectrum"]["bootstrap_threshold"]),
-            noise_threshold=float(payload["spectrum"]["noise_threshold"]),
-        )
-        joint = _basis_from_json(payload["joint"])
-        individuals = [_basis_from_json(b) for b in payload["individuals"]]
-        stated = (as_count(payload["joint_rank"], "joint_rank"),
-                  tuple(as_count(r, "marginal rank") for r in payload["marginal_ranks"]),
-                  [as_count(b["rank"], "rank") for b in [payload["joint"], *payload["individuals"]]])
+        n, views = as_count(payload["n"], "n"), as_count(payload["views"], "views")
+        stored = [payload["joint"], *payload["individuals"]]
+        dims = [as_count(b["ambient_dim"], "ambient_dim") for b in stored]
+        stated = {"n": n, "views": views, "joint_rank": as_count(payload["joint_rank"], "joint_rank"),
+                  "marginal_ranks": [as_count(r, "marginal rank") for r in payload["marginal_ranks"]],
+                  "bases": [{"ambient_dim": d, "rank": as_count(b["rank"], "rank")}
+                            for d, b in zip(dims, stored)]}
+        bases = [np.asarray(b["columns"], dtype=float).T if b["columns"] else np.zeros((d, 0))
+                 for b, d in zip(stored, dims)]
+        if not all(b.ndim == 2 and np.all(np.isfinite(b)) for b in bases):
+            raise ValueError("basis columns must be lists of finite numbers")
+        spec = payload["spectrum"]
         result = DecompositionResult(
-            joint=joint,
-            individuals=individuals,
-            spectrum=spectrum,
+            joint=bases[0], individuals=bases[1:],
+            spectrum=ProductSpectrum(_float_vector(spec["values"]), float(spec["bootstrap_threshold"]),
+                                     float(spec["noise_threshold"])),
             epsilon1_hat=float(payload["epsilon1_hat"]),
             sigma_hats=tuple(float(s) for s in payload["sigma_hats"]),
-            view_bases=[],
-            binding_pair=tuple(payload.get("binding_pair", (0, 1))),
-        )
+            view_bases=[], binding_pair=tuple(payload["binding_pair"]))
     except (KeyError, TypeError, ValueError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: not a decomposition result file ({exc})") from None
-    if n < 1 or any(b.shape[0] != n for b in [joint, *individuals]):
-        raise InvalidInput(f"{path}: n = {n} must be >= 1 and equal every basis's ambient_dim")
-    drawn = np.concatenate([spectrum.values,
-                            [spectrum.bootstrap_threshold, spectrum.noise_threshold]])
-    if not np.all((drawn >= 0.0) & (drawn <= 1.0)):
-        raise InvalidInput(f"{path}: spectrum values and thresholds must be finite "
-                           f"and lie in [0, 1]")
-    counted = (result.joint_rank, result.marginal_ranks, [b.shape[1] for b in [joint, *individuals]])
-    if stated != counted:
-        raise InvalidInput(f"{path}: joint_rank, marginal_ranks and basis ranks {stated} "
-                           f"differ from the bases' column counts {counted}")
-    pair = result.binding_pair
-    if len(pair) != 2 or pair[0] == pair[1] or not all(
-            type(i) is int and 0 <= i < len(result.marginal_ranks) for i in pair):
-        raise InvalidInput(f"{path}: binding_pair {list(pair)} does not name two distinct "
-                           f"views of {len(result.marginal_ranks)}")
+    wrong = [f"{key} {stated[key]} (the bases give {value})"
+             for key, value in _counts(result).items() if stated[key] != value]
+    if wrong:
+        raise InvalidInput(f"{path}: joint_rank, marginal_ranks, n, views and each basis's shape "
+                           f"must match the bases; the file states {', '.join(wrong)}")
     return result
 
 

@@ -48,11 +48,16 @@ BOOTSTRAP_THRESHOLD_CAP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class ProductSpectrum:
-    """Singular values of the estimated projection product plus both thresholds."""
+    """Singular values of the estimated projection product and both thresholds, all in [0, 1]."""
 
     values: np.ndarray
     bootstrap_threshold: float
     noise_threshold: float
+
+    def __post_init__(self):
+        checked = np.append(self.values, [self.bootstrap_threshold, self.noise_threshold])
+        if not np.all((checked >= 0.0) & (checked <= 1.0)):
+            raise InvalidInput("spectrum values and thresholds must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ class DecompositionResult:
     ``binding_pair``: with two views that is (0, 1); with more it is the first
     pair in canonical view order attaining the minimum pairwise joint rank.
     ``joint_rank`` and ``marginal_ranks`` are read-only, read off the bases.
+    The joint and individual bases share one row count n >= 1, with one
+    sigma_hat per view and ``binding_pair`` two distinct ``int`` view indices.
     """
 
     joint: np.ndarray
@@ -72,6 +79,17 @@ class DecompositionResult:
     sigma_hats: tuple[float, ...]
     view_bases: list[np.ndarray]
     binding_pair: tuple[int, int] = (0, 1)
+
+    def __post_init__(self):
+        rows = [b.shape[0] for b in [self.joint, *self.individuals]]
+        views, pair = len(self.individuals), self.binding_pair
+        if min(rows) < 1 or len(set(rows)) > 1:
+            raise InvalidInput(f"the bases must share one row count n >= 1, got {rows}")
+        if len(self.sigma_hats) != views:
+            raise InvalidInput(f"{len(self.sigma_hats)} sigma_hats for {views} views, not one each")
+        if len(pair) != 2 or pair[0] == pair[1] or not all(
+                type(i) is int and 0 <= i < views for i in pair):
+            raise InvalidInput(f"binding_pair {list(pair)} is not two distinct views of {views}")
 
     @property
     def joint_rank(self) -> int:

@@ -99,7 +99,6 @@ class SimTruth:
     individuals: list[np.ndarray]
     signals: list[np.ndarray]
     noise_sigmas: tuple[float, ...]
-    planted_angle: float
 
 
 def generate(cfg: SimConfig):
@@ -139,7 +138,7 @@ def generate(cfg: SimConfig):
         sigmas.append(s)
         views.append(x + z)
     truth = SimTruth(joint=joint, individuals=individuals, signals=signals,
-                     noise_sigmas=tuple(sigmas), planted_angle=cfg.angle_deg)
+                     noise_sigmas=tuple(sigmas))
     return views, truth
 
 

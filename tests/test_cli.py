@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import ppdecomp as ppd
 from ppdecomp import InvalidInput, ParseError, read_matrix_csv, write_matrix_csv
-from ppdecomp.cli import _load_result_json, _parse_simulation_config, main
+from ppdecomp.cli import _load_result_json, _parse_simulation_config, _result_json, main
 from ppdecomp.matrixio import _loadtxt
 from conftest import qr_basis
 
@@ -445,11 +445,13 @@ def test_simulate_cmd_rejects_bad_value(tmp_path, capsys):
     assert "reps" in capsys.readouterr().err
 
 
-def make_result_json(tmp_path):
+def make_result_json(tmp_path, views=2):
+    """result.json of ``views`` copies of one noiseless rank-3 view."""
     p1, p2 = write_noiseless_views(tmp_path, seed=4)
     out = tmp_path / "result.json"
-    main(["decompose", "--view", str(p1), "--view", str(p2), "--ranks", "3,3",
-          "--bootstrap-reps", "6", "--seed", "2", "--out", str(out)])
+    assert main(["decompose", "--view", str(p1), *["--view", str(p2)] * (views - 1),
+                 "--ranks", ",".join(["3"] * views), "--bootstrap-reps", "6", "--seed", "2",
+                 "--out", str(out)]) == 0
     return out
 
 
@@ -486,8 +488,8 @@ def test_diagnose_cmd_needs_an_output(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
-def _edited_result(tmp_path, edit):
-    result = make_result_json(tmp_path)
+def _edited_result(tmp_path, edit, views=2):
+    result = make_result_json(tmp_path, views)
     payload = json.loads(result.read_text())
     edit(payload)
     result.write_text(json.dumps(payload))
@@ -570,6 +572,12 @@ HOSTILE = {
         t, lambda d: d.update(marginal_ranks=[20, 1])),
     "result-basis-rank-contradicts-columns": lambda t: _edited_result(
         t, lambda d: d["joint"].update(rank=7)),
+    "result-views-contradicts-bases": lambda t: _edited_result(t, lambda d: d.update(views=7)),
+    "result-views-missing": lambda t: _edited_result(t, lambda d: d.pop("views")),
+    "result-sigma-hats-count": lambda t: _edited_result(
+        t, lambda d: d.update(sigma_hats=[0.5])),
+    "result-binding-pair-missing": lambda t: _edited_result(
+        t, lambda d: d.pop("binding_pair"), views=3),
     "truth-non-numeric-lines": lambda t: _truth_sidecar(t, {"truth_lines": ["a", 1.0]}),
     "truth-scalar-lines": lambda t: _truth_sidecar(t, {"truth_lines": 5}),
     "truth-intervals-not-pairs": lambda t: _truth_sidecar(
@@ -787,6 +795,7 @@ def test_diagnose_cmd_result_matches_decompose(tmp_path, dims, individual_ranks)
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
     loaded = _load_result_json(str(result_path))
+    assert _result_json(loaded, 5, 20) == result_path.read_text()
     direct = ppd.decompose_multiview(views, bootstrap=ppd.BootstrapConfig(replicates=20, seed=5))
     assert np.array_equal(loaded.spectrum.values, direct.spectrum.values)
     assert loaded.spectrum.bootstrap_threshold == direct.spectrum.bootstrap_threshold

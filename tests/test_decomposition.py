@@ -130,6 +130,51 @@ def test_joint_rank_counts_strictly_above_both_thresholds():
     assert joint_rank(low) == 0
 
 
+@pytest.mark.parametrize("values,bootstrap,noise", [([1.5, 0.2], 0.9, 0.6),
+                                                     ([0.5, 0.2], math.nan, 0.6),
+                                                     ([0.5, 0.2], 0.9, math.nan)],
+                         ids=["value-above-one", "bootstrap-nan", "noise-nan"])
+def test_product_spectrum_values_and_thresholds_lie_in_the_unit_interval(values, bootstrap,
+                                                                         noise):
+    with pytest.raises(InvalidInput, match=r"\[0, 1\]"):
+        ProductSpectrum(values=np.array(values), bootstrap_threshold=bootstrap,
+                        noise_threshold=noise)
+
+
+def _hand_built_result(rows=(10, 10, 10), sigma_hats=(0.1, 0.2), binding_pair=(0, 1)):
+    """A two-view result with a rank-1 joint basis, built without decomposing."""
+    joint, *individuals = [np.eye(n, 3)[:, :1] if k == 0 else np.eye(n, 3)[:, 1:]
+                           for k, n in enumerate(rows)]
+    spectrum = ProductSpectrum(values=np.array([1.0]), bootstrap_threshold=0.9,
+                               noise_threshold=0.5)
+    return ppd.DecompositionResult(joint=joint, individuals=individuals, spectrum=spectrum,
+                                   epsilon1_hat=0.1, sigma_hats=sigma_hats, view_bases=[],
+                                   binding_pair=binding_pair)
+
+
+def test_decomposition_result_built_by_hand_meets_the_result_rules():
+    result = _hand_built_result()
+    assert result.joint_rank == 1 and result.marginal_ranks == (3, 3)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"binding_pair": (1, 1)}, "binding_pair"),
+    ({"binding_pair": (0, 2)}, "binding_pair"),
+    ({"binding_pair": (-1, 1)}, "binding_pair"),
+    ({"binding_pair": (0, 1, 1)}, "binding_pair"),
+    ({"binding_pair": (0.0, 1)}, "binding_pair"),
+    ({"sigma_hats": (0.1,)}, "sigma_hats"),
+    ({"sigma_hats": (0.1, 0.2, 0.3)}, "sigma_hats"),
+    ({"rows": (10, 10, 9)}, "row count"),
+    ({"rows": (8, 10, 10)}, "row count"),
+    ({"rows": (0, 0, 0)}, "row count"),
+], ids=["pair-repeated", "pair-out-of-range", "pair-negative", "pair-of-three", "pair-float",
+        "one-sigma-hat", "three-sigma-hats", "individual-rows", "joint-rows", "zero-rows"])
+def test_decomposition_result_rejects_a_broken_rule(kwargs, match):
+    with pytest.raises(InvalidInput, match=match):
+        _hand_built_result(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # joint and individual bases
 
